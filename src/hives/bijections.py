@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    cutting_sections, unit_octahedra, unit_rhombi_2d)
+                    unit_octahedra)
 from .hive import (Hive, boundary, prefix_sums,
                    require_dc_partition_boundary, validate_dc)
-from .octahedron import extract_face, inverse_propagate, propagate
+from .octahedron import (extract_face, inverse_propagate, polarization_slack,
+                         propagate, section_rhombus_violations)
 
 
 @dataclass(frozen=True)
@@ -207,28 +208,12 @@ def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
     n = h.n
     b = boundary(h)
     values = half_octahedron_function(h)
-    inside = set(values)
 
-    rhombus_bad = []
-    for chart in cutting_sections(2 * n, min_size=2):
-        for rh in unit_rhombi_2d(chart.size):
-            pts = [chart.point(i, j) for (i, j) in rh.vertices()]
-            if not all(p in inside for p in pts):
-                continue
-            (c1, c2), (f1, f2) = rh.cut, rh.free
-            slack = (values[chart.point(*c1)] + values[chart.point(*c2)]
-                     - values[chart.point(*f1)] - values[chart.point(*f2)])
-            if slack < 0:
-                rhombus_bad.append((chart, rh))
-
-    polar_bad = []
-    for oct in unit_octahedra(2 * n):
-        if not all(v in inside for v in oct.vertices()):
-            continue
-        if values[oct.oz] + values[oct.xy] != max(
-                values[oct.ox] + values[oct.yz],
-                values[oct.oy] + values[oct.xz]):
-            polar_bad.append(oct)
+    rhombus_bad = section_rhombus_violations(2 * n, values.__getitem__,
+                                             values)
+    polar_bad = [oct for oct in unit_octahedra(2 * n)
+                 if all(v in values for v in oct.vertices())
+                 and polarization_slack(values, oct) != 0]
 
     square_bad = []
     for y in range(n):

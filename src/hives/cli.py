@@ -1,33 +1,31 @@
 """Command-line interface.
 
-Subcommands: lr, schur, enumerate, verify, assoc, commute, propagate,
+Subcommands: lr, schur, enumerate, pairs, verify, assoc, commute, propagate,
 selfcheck, render.  Exit codes: 0 success, 1 a mathematical identity or
 concavity check failed, 2 usage or input-schema error.  All outputs are
-deterministic; --canonical switches JSON to the byte-stable compact form.
+deterministic.  --format json (lr, schur, verify) prints JSON instead of a
+table; --canonical (all but selfcheck and render) makes JSON byte-stable.
+selfcheck runs the suites of hives.checks; --max-n >= 2, --max-part >= 0
+and --random-cases >= 0 make every suite cover at least one case.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from itertools import product
 
-from .bijections import (GluedPair, WallPair, assoc_forward, assoc_inverse,
-                         commutor, half_octahedron_diagnostics)
-from .enumeration import (brute_force_count, count_hives,
-                          enumerate_glued_pairs, enumerate_hives,
+from . import checks
+from .bijections import (assoc_forward, assoc_inverse, commutor,
+                         half_octahedron_diagnostics)
+from .enumeration import (count_hives, enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
-from .grids import FaceChart
-from .hive import Hive, boundary, is_partition, pad, validate_dc
+from .hive import boundary, is_partition, validate_dc
 from .jsonio import (SchemaError, dumps, glued_pair_from_obj,
                      glued_pair_to_obj, hive_from_obj, hive_to_obj, loads,
                      tetra_to_obj, wall_pair_from_obj, wall_pair_to_obj)
-from .octahedron import (TetraFunction, check_pcpm, check_polarized,
-                         extract_face, inverse_propagate, propagate)
+from .octahedron import check_pcpm, propagate
 from .render import render_hive_svg
-from .tableaux import lr_coefficient, partitions_in_box, schur_product
+from .tableaux import lr_coefficient, schur_product
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -46,6 +44,18 @@ def parse_partition(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"not a partition (non-increasing, non-negative): {text!r}")
     return parts
+
+
+def int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
 
 
 def _read_json(path: str):
@@ -178,239 +188,12 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- selfcheck
-
-def _partitions_upto(parts: int, max_part: int) -> list[tuple[int, ...]]:
-    return [pad(p, parts)
-            for total in range(parts * max_part + 1)
-            for p in partitions_in_box(total, parts, max_part)]
-
-
-def _suite_lr_equivalence(max_n: int, max_part: int, threads: int,
-                          fault: bool) -> tuple[int, list[str]]:
-    """count_hives == lr_coefficient over the whole box."""
-    ps = _partitions_upto(max_n, max_part)
-    counter = count_hives
-    if fault:
-        counter = lambda m, v, l: brute_force_count(m, v, l, flip_kind="II")
-
-    def check(pair) -> list[str]:
-        mu, nu = pair
-        bad = []
-        for lam in partitions_in_box(sum(mu) + sum(nu), max_n, 2 * max_part):
-            lam = pad(lam, max_n)
-            a, b = counter(mu, nu, lam), lr_coefficient(mu, nu, lam)
-            if a != b:
-                bad.append(f"count mismatch at {mu},{nu},{lam}: {a} != {b}")
-        return bad
-
-    pairs = list(product(ps, repeat=2))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(check, pairs))
-    else:
-        results = [check(p) for p in pairs]
-    failures = [msg for sub in results for msg in sub]
-    cases = sum(len(partitions_in_box(sum(m) + sum(v), max_n, 2 * max_part))
-                for m, v in pairs)
-    return cases, failures
-
-
-def _glued_universe(n: int, max_part: int):
-    ps = _partitions_upto(n, max_part)
-    for mu, pi, sigma in product(ps, repeat=3):
-        for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), n,
-                                     n * max_part):
-            yield mu, pi, sigma, pad(lam, n)
-
-
-def _suite_propagation(max_n: int, max_part: int, rng_cases: int
-                       ) -> tuple[int, list[str], list]:
-    """Propagate every exhaustive glued pair (n = 2) plus randomized larger
-    pairs; check PCPM membership, section concavity, wall roundtrip, and
-    that single-point perturbations break polarization."""
-    failures: list[str] = []
-    tetras = []
-    cases = 0
-
-    def run_pair(f1: Hive, f2: Hive, tag: str) -> None:
-        nonlocal cases
-        cases += 1
-        t = propagate(f1, f2)
-        tetras.append(t)
-        n = t.n
-        if not check_pcpm(t).ok():
-            failures.append(f"{tag}: propagated function is not PCPM")
-        for k in range(n + 1):
-            for chart in (FaceChart.section_z(n, k),
-                          FaceChart.section_sum(n, k)):
-                if validate_dc(extract_face(t, chart)):
-                    failures.append(f"{tag}: section {chart.name} not DC")
-        w1 = extract_face(t, FaceChart.wall_x0(n))
-        w2 = extract_face(t, FaceChart.wall_y0(n))
-        if inverse_propagate(w1, w2) != t:
-            failures.append(f"{tag}: wall roundtrip failed")
-        interior = [(x, y, z)
-                    for z in range(1, n + 1)
-                    for y in range(n - z + 1)
-                    for x in range(n - z - y + 1)
-                    if x + y + z <= n - 1]
-        for p in interior:
-            for d in (1, -1):
-                if not check_polarized(_bump(t, p, d)):
-                    failures.append(f"{tag}: perturbation at {p} undetected")
-
-    if max_n >= 2:
-        seen = 0
-        for mu, pi, sigma, lam in _glued_universe(2, min(2, max_part)):
-            for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma):
-                seen += 1
-                run_pair(f1, f2, f"glued({mu},{pi},{sigma},{lam})#{seen}")
-
-    if max_n >= 2 and rng_cases:
-        rng = random.Random(20240400)
-        produced = attempts = 0
-        while produced < rng_cases and attempts < 100 * rng_cases:
-            attempts += 1
-            mu = tuple(sorted((rng.randint(0, 2) for _ in range(4)),
-                              reverse=True))
-            g = tuple(sorted((rng.randint(0, 2) for _ in range(4)),
-                             reverse=True))
-            lams = partitions_in_box(sum(mu) + sum(g), 4, 4)
-            if not lams:
-                continue
-            lam = pad(lams[rng.randrange(len(lams))], 4)
-            ground_set = enumerate_hives(mu, g, lam)
-            if not len(ground_set):
-                continue
-            pis = partitions_in_box(rng.randint(0, sum(g)), 4, 2)
-            if not pis:
-                continue
-            pi = pad(pis[rng.randrange(len(pis))], 4)
-            sigmas = partitions_in_box(sum(g) - sum(pi), 4, 4)
-            if not sigmas:
-                continue
-            sigma = pad(sigmas[rng.randrange(len(sigmas))], 4)
-            ceil_set = enumerate_hives(pi, sigma, g)
-            if not len(ceil_set):
-                continue
-            f1 = ground_set[rng.randrange(len(ground_set))]
-            f2 = ceil_set[rng.randrange(len(ceil_set))]
-            produced += 1
-            run_pair(f1, f2, f"random#{produced}")
-        if produced < rng_cases:
-            failures.append(f"could only generate {produced} random pairs")
-
-    return cases, failures, tetras
-
-
-def _bump(t: TetraFunction, p, delta: int) -> TetraFunction:
-    return TetraFunction.build(
-        t.n, lambda x, y, z: t[x, y, z] + (delta if (x, y, z) == p else 0))
-
-
-def _suite_associativity(max_part: int) -> tuple[int, list[str]]:
-    """Bijectivity of assoc_forward between the two coproducts at n = 2,
-    with both coproduct cardinalities cross-checked against sums of
-    products of tableau-oracle coefficients."""
-    failures: list[str] = []
-    cases = 0
-    for mu, pi, sigma, lam in _glued_universe(2, min(2, max_part)):
-        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
-        target = enumerate_wall_pairs(mu, pi, sigma, lam)
-        glue_total = sum(lam) - sum(mu)
-        lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)
-                  for g in partitions_in_box(glue_total, 2, glue_total))
-        rhs = sum(lr_coefficient(mu, pi, t) * lr_coefficient(t, sigma, lam)
-                  for t in partitions_in_box(sum(mu) + sum(pi), 2,
-                                             sum(mu) + sum(pi)))
-        if lhs != len(domain):
-            failures.append(f"glued coproduct vs oracle products at "
-                            f"({mu},{pi},{sigma},{lam}): {len(domain)} != {lhs}")
-        if rhs != len(target):
-            failures.append(f"wall coproduct vs oracle products at "
-                            f"({mu},{pi},{sigma},{lam}): {len(target)} != {rhs}")
-        if len(domain) != len(target):
-            failures.append(
-                f"coproduct sizes differ at ({mu},{pi},{sigma},{lam}): "
-                f"{len(domain)} vs {len(target)}")
-        if not domain:
-            continue
-        cases += 1
-        images = []
-        for f1, f2 in domain:
-            w = assoc_forward(GluedPair(f1, f2))
-            images.append((w.w1, w.w2))
-            back = assoc_inverse(w)
-            if (back.f1, back.f2) != (f1, f2):
-                failures.append(f"inverse(forward) != id at ({mu},{pi},"
-                                f"{sigma},{lam})")
-        if len(set(images)) != len(images):
-            failures.append(f"forward not injective at ({mu},{pi},{sigma},{lam})")
-        if set(images) != set(target):
-            failures.append(f"image differs from wall coproduct at "
-                            f"({mu},{pi},{sigma},{lam})")
-        for w1, w2 in target:
-            g = assoc_inverse(WallPair(w1, w2))
-            w_back = assoc_forward(g)
-            if (w_back.w1, w_back.w2) != (w1, w2):
-                failures.append(f"forward(inverse) != id at ({mu},{pi},"
-                                f"{sigma},{lam})")
-    return cases, failures
-
-
-def _suite_commutor(max_part: int) -> tuple[int, list[str]]:
-    """Commutor bijectivity and half-octahedron diagnostics at n = 2 plus
-    one multiplicity-2 case at n = 3."""
-    failures: list[str] = []
-    cases = 0
-    ps = _partitions_upto(2, min(2, max_part))
-    triples = [(mu, nu, pad(lam, 2))
-               for mu, nu in product(ps, repeat=2)
-               for lam in partitions_in_box(sum(mu) + sum(nu), 2, 4)]
-    triples.append(((2, 1, 0), (2, 1, 0), (3, 2, 1)))
-    for mu, nu, lam in triples:
-        hs = enumerate_hives(mu, nu, lam)
-        if not len(hs):
-            continue
-        cases += 1
-        target = set(enumerate_hives(nu, mu, lam).members)
-        if len(target) != len(hs):
-            failures.append(f"|DC({mu},{nu};{lam})| != |DC({nu},{mu};{lam})|")
-        outs = set()
-        for h in hs:
-            o = commutor(h)
-            outs.add(o)
-            if o not in target:
-                failures.append(f"commutor output leaves DC({nu},{mu};{lam})")
-            if not half_octahedron_diagnostics(h).ok():
-                failures.append(f"diagnostics failed at ({mu},{nu},{lam})")
-        if len(outs) != len(hs):
-            failures.append(f"commutor not injective at ({mu},{nu},{lam})")
-    return cases, failures
-
-
 def cmd_selfcheck(args) -> int:
-    max_n, max_part = args.max_n, args.max_part
-    report: list[tuple[str, int, list[str]]] = []
-
-    cases, fails = _suite_lr_equivalence(max_n, max_part, args.threads,
-                                         args.inject_fault)
-    report.append(("hive-count == tableau-count", cases, fails))
-
-    cases, fails, _ = _suite_propagation(max_n, max_part,
-                                         rng_cases=args.random_cases)
-    report.append(("propagation: PCPM + sections + roundtrip + perturbation",
-                   cases, fails))
-
-    cases, fails = _suite_associativity(max_part) if max_n >= 2 else (0, [])
-    report.append(("associativity bijection", cases, fails))
-
-    cases, fails = _suite_commutor(max_part) if max_n >= 2 else (0, [])
-    report.append(("commutor bijection + diagnostics", cases, fails))
-
     ok = True
-    for name, cases, fails in report:
+    for name, run in checks.selfcheck_suites(args.max_n, args.max_part,
+                                             args.random_cases,
+                                             args.inject_fault):
+        cases, fails = run()
         status = "pass" if not fails else f"FAIL ({len(fails)})"
         print(f"{name:55s} cases={cases:<6d} {status}")
         for msg in fails[:10]:
@@ -430,11 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the associativity/commutativity bijections.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
+    def json_options(p, formats: bool = False):
+        """--canonical, plus --format on commands that also print a table."""
+        if formats:
+            p.add_argument("--format", choices=("table", "json"),
+                           default="table")
         p.add_argument("--canonical", action="store_true",
                        help="byte-stable compact JSON output")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("lr", help="one Littlewood-Richardson coefficient")
     p.add_argument("--mu", type=parse_partition, required=True)
@@ -442,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--method", choices=("hive", "tableaux", "both"),
                    default="hive")
-    common(p)
+    json_options(p, formats=True)
     p.set_defaults(fn=cmd_lr)
 
     p = sub.add_parser("schur", help="expand a product of two Schur functions")
     p.add_argument("--mu", type=parse_partition, required=True)
     p.add_argument("--nu", type=parse_partition, required=True)
-    p.add_argument("--parts", type=int, default=6,
+    p.add_argument("--parts", type=int_at_least(0), default=6,
                    help="maximum number of parts in the expansion terms")
-    common(p)
+    json_options(p, formats=True)
     p.set_defaults(fn=cmd_schur)
 
     p = sub.add_parser("enumerate", help="list all hives with a boundary")
@@ -458,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=parse_partition, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("-o", "--output")
-    common(p)
+    json_options(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("pairs", help="list a glued- or wall-pair coproduct")
@@ -468,19 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=parse_partition, required=True)
     p.add_argument("--sigma", type=parse_partition, required=True)
     p.add_argument("-o", "--output")
-    common(p)
+    json_options(p)
     p.set_defaults(fn=cmd_pairs)
 
     p = sub.add_parser("verify", help="check a hive file for concavity")
     p.add_argument("hive")
-    common(p)
+    json_options(p, formats=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("assoc", help="associativity bijection on a pair file")
     p.add_argument("direction", choices=("forward", "inverse"))
     p.add_argument("pair")
     p.add_argument("-o", "--output")
-    common(p)
+    json_options(p)
     p.set_defaults(fn=cmd_assoc)
 
     p = sub.add_parser("commute", help="commutor: DC(mu,nu;lam) -> DC(nu,mu;lam)")
@@ -488,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the half-octahedron diagnostics")
     p.add_argument("-o", "--output")
-    common(p)
+    json_options(p)
     p.set_defaults(fn=cmd_commute)
 
     p = sub.add_parser("propagate", help="octahedron propagation of two hives")
@@ -496,24 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", required=True)
     p.add_argument("--check-pcpm", action="store_true")
     p.add_argument("-o", "--output")
-    common(p)
+    json_options(p)
     p.set_defaults(fn=cmd_propagate)
 
     p = sub.add_parser("selfcheck", help="run the full identity test suites")
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-part", type=int, default=3)
-    p.add_argument("--random-cases", type=int, default=200,
+    p.add_argument("--max-n", type=int_at_least(2), default=3)
+    p.add_argument("--max-part", type=int_at_least(0), default=3)
+    p.add_argument("--random-cases", type=int_at_least(0), default=200,
                    help="randomized size-4 propagation cases")
     p.add_argument("--inject-fault", action="store_true",
                    help="flip one rhombus kind in the counting suite; the "
                         "run must then fail (harness mutation check)")
-    common(p)
     p.set_defaults(fn=cmd_selfcheck)
 
     p = sub.add_parser("render", help="render a hive file as SVG")
     p.add_argument("hive")
     p.add_argument("-o", "--output")
-    common(p)
     p.set_defaults(fn=cmd_render)
 
     return ap

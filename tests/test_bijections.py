@@ -1,14 +1,13 @@
-from itertools import product
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import partitions_upto, triple_universe
+from hives import bijections
 from hives.bijections import (GluedPair, WallPair, assoc_forward,
                               assoc_inverse, commutor,
                               half_octahedron_diagnostics,
                               half_octahedron_function,
                               half_octahedron_points)
+from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.hive import Hive, boundary, pad
@@ -75,30 +74,27 @@ def test_wall_pair_validation():
 
 
 def test_assoc_bijection_exhaustive_small():
-    ps = partitions_upto(2, 2)
-    for mu, pi, sigma in product(ps, repeat=3):
-        for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), 2, 4):
-            lam = pad(lam, 2)
-            domain = enumerate_glued_pairs(mu, lam, pi, sigma)
-            target = enumerate_wall_pairs(mu, pi, sigma, lam)
-            assert len(domain) == len(target)
-            images = set()
-            for f1, f2 in domain:
-                w = assoc_forward(GluedPair(f1, f2))
-                back = assoc_inverse(w)
-                assert (back.f1, back.f2) == (f1, f2)
-                images.add((w.w1, w.w2))
-                b1, b2 = boundary(w.w1), boundary(w.w2)
-                assert b1.left == boundary(f1).left
-                assert b1.hyp == boundary(f2).left
-                assert b2.hyp == boundary(f2).hyp
-                assert b2.base == boundary(f1).base
-                assert b1.base == b2.left
-            assert len(images) == len(domain)
-            assert images == set(target)
-            for w1, w2 in target:
-                w = WallPair(w1, w2)
-                assert assoc_forward(assoc_inverse(w)) == w
+    for mu, pi, sigma, lam in glued_universe(2, 2):
+        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        target = enumerate_wall_pairs(mu, pi, sigma, lam)
+        assert len(domain) == len(target)
+        images = set()
+        for f1, f2 in domain:
+            w = assoc_forward(GluedPair(f1, f2))
+            back = assoc_inverse(w)
+            assert (back.f1, back.f2) == (f1, f2)
+            images.add((w.w1, w.w2))
+            b1, b2 = boundary(w.w1), boundary(w.w2)
+            assert b1.left == boundary(f1).left
+            assert b1.hyp == boundary(f2).left
+            assert b2.hyp == boundary(f2).hyp
+            assert b2.base == boundary(f1).base
+            assert b1.base == b2.left
+        assert len(images) == len(domain)
+        assert images == set(target)
+        for w1, w2 in target:
+            w = WallPair(w1, w2)
+            assert assoc_forward(assoc_inverse(w)) == w
 
 
 def test_commutor_singleton_n1():
@@ -171,6 +167,31 @@ def test_diagnostics_clean_on_universe():
         for h in enumerate_hives(mu, nu, lam):
             diag = half_octahedron_diagnostics(h)
             assert diag.ok(), (mu, nu, lam, h.rows, diag)
+
+
+def test_diagnostics_report_a_bumped_point(monkeypatch):
+    """Raising one value off every checked face breaks concavity and
+    polarization, and nothing else."""
+    h = enumerate_hives((2, 1, 0), (2, 1, 0), (3, 2, 1))[0]
+    values = dict(half_octahedron_function(h))
+    values[(1, 2, 2)] += 1
+    monkeypatch.setattr(bijections, "half_octahedron_function",
+                        lambda _: values)
+    d = half_octahedron_diagnostics(h)
+    assert d.rhombus_violations and d.polarization_violations
+    assert all((1, 2, 2) in oct.vertices() for oct in d.polarization_violations)
+    assert not (d.square_violations or d.pmu_face_mismatch
+                or d.pnu_wall_mismatch)
+
+
+def test_commutor_is_an_involution():
+    """commutor(commutor(h)) == h on every hive with at most 3 parts and
+    entries <= 2 (Henriques-Kamnitzer, "The octahedron recurrence and
+    gl(n) crystals")."""
+    hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
+    assert len(hives) == 173
+    for h in hives:
+        assert commutor(commutor(h)) == h, h.rows
 
 
 def test_diagnostics_clean_n3_spot():

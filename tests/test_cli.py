@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -127,26 +128,40 @@ def test_selfcheck_small(capsys):
 
 
 def test_selfcheck_degenerate(capsys):
-    assert main(["selfcheck", "--max-n", "0", "--random-cases", "0"]) == 0
-    assert "selfcheck: PASS" in capsys.readouterr().out
+    for max_n in ("0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck", "--max-n", max_n, "--random-cases", "0"])
+        assert exc.value.code == 2
+
+
+def test_selfcheck_smallest_ranges_cover_every_suite(capsys):
+    assert main(["selfcheck", "--max-n", "2", "--max-part", "0",
+                 "--random-cases", "0"]) == 0
+    counts = re.findall(r"cases=(\d+)", capsys.readouterr().out)
+    assert len(counts) == 4 and "0" not in counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["selfcheck", "--max-part", "-1"],
+    ["selfcheck", "--random-cases", "-1"],
+    ["selfcheck", "--max-n", "two"],
+    ["schur", "--mu", "1", "--nu", "1", "--parts", "-1"],
+    # options a subcommand would ignore are not offered
+    ["enumerate", "--mu", "1", "--nu", "1", "--lambda", "2",
+     "--format", "json"],
+    ["render", "h.json", "--canonical"],
+    ["selfcheck", "--threads", "2"],
+])
+def test_bad_numbers_and_unoffered_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_selfcheck_fault_injection_fails(capsys):
     assert main(["selfcheck", "--max-n", "2", "--max-part", "2",
                  "--random-cases", "0", "--inject-fault"]) == 1
     assert "selfcheck: FAIL" in capsys.readouterr().out
-
-
-def test_outputs_independent_of_threads(capsys):
-    argsets = [["selfcheck", "--max-n", "2", "--max-part", "1",
-                "--random-cases", "3"],
-               ["selfcheck", "--max-n", "2", "--max-part", "1",
-                "--random-cases", "3", "--threads", "4"]]
-    outs = []
-    for argv in argsets:
-        assert main(argv) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
 
 
 def test_canonical_output_byte_stable(tmp_path):

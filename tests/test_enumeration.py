@@ -1,6 +1,6 @@
 from itertools import product
 
-from helpers import triple_universe
+from hives.checks import triple_universe
 from hives.enumeration import (brute_force_count, count_hives,
                                enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)

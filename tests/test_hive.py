@@ -18,6 +18,17 @@ def test_hive_shape_validation():
     assert h.values_in_order() == (0, 1, 2, 1, 2, 2)
 
 
+@pytest.mark.parametrize("rows", [
+    (),                          # no rows: size -1
+    ((0, 1.7), (1,)),            # a float entry
+    ((True, 1), (1,)),           # a bool entry
+    ((0, "1"), (1,)),            # a string entry
+])
+def test_hive_rejects_non_integer_entries_and_empty_rows(rows):
+    with pytest.raises(ValueError):
+        Hive(rows)
+
+
 def test_validate_dc_examples():
     assert not validate_dc(Hive.zero(3))
     assert not validate_dc(WORKED)

@@ -1,15 +1,12 @@
-from itertools import product
-
 import pytest
 
-from helpers import partitions_upto
+from hives.checks import bump, glued_universe, interior_points
 from hives.enumeration import enumerate_glued_pairs
 from hives.grids import FaceChart, tetra_points, unit_octahedra
-from hives.hive import Hive, pad, validate_dc
+from hives.hive import Hive, validate_dc
 from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
                               extract_face, inverse_propagate,
                               polarization_slack, propagate)
-from hives.tableaux import partitions_in_box
 
 GROUND = Hive(((0, 2, 2), (1, 2), (1,)))
 CEILING = Hive(((0, 1, 1), (1, 1), (1,)))
@@ -21,13 +18,9 @@ def worked_tetra() -> TetraFunction:
 
 def universe_tetras(max_entry=2):
     """Propagations of every glued DC pair over the small partition box."""
-    out = []
-    ps = partitions_upto(2, max_entry)
-    for mu, pi, sigma in product(ps, repeat=3):
-        for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), 2, 4):
-            for f1, f2 in enumerate_glued_pairs(mu, pad(lam, 2), pi, sigma):
-                out.append(propagate(f1, f2))
-    return out
+    return [propagate(f1, f2)
+            for mu, pi, sigma, lam in glued_universe(2, max_entry)
+            for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma)]
 
 
 def test_tetra_function_shape():
@@ -35,6 +28,16 @@ def test_tetra_function_shape():
     assert t.n == 2 and t[1, 1, 0] == 3 and t[0, 0, 2] == 8
     with pytest.raises(ValueError):
         TetraFunction((((0, 0),), ((0,),)))  # rows of layer z=0 are too short
+
+
+@pytest.mark.parametrize("layers", [
+    (),                                      # no layers: size -1
+    (((0, 0.5), (0,)), ((0,),)),             # a float entry
+    (((0, 0), (False,)), ((0,),)),           # a bool entry
+])
+def test_tetra_function_rejects_non_integer_entries_and_empty_layers(layers):
+    with pytest.raises(ValueError):
+        TetraFunction(layers)
 
 
 def test_octahedron_rule_direct():
@@ -142,13 +145,9 @@ def test_roundtrip_and_uniqueness_over_universe():
         g = extract_face(t, FaceChart.ground(n))
         c = extract_face(t, FaceChart.ceiling(n))
         assert propagate(g, c.normalize()) == t
-        interior = [(x, y, z) for (x, y, z) in tetra_points(n)
-                    if z >= 1 and x + y + z <= n - 1]
-        for p in interior:
+        for p in interior_points(n):
             for d in (1, -1):
-                bumped = TetraFunction.build(
-                    n, lambda x, y, z: t[x, y, z] + (d if (x, y, z) == p else 0))
-                assert check_polarized(bumped), (p, d)
+                assert check_polarized(bump(t, p, d)), (p, d)
 
 
 def test_pcpm2_property():
