@@ -35,7 +35,7 @@ import sys
 from itertools import product
 
 from hives.grids import tri_points, unit_rhombi_2d
-from hives.hive import Hive, boundary, ground_function, p_mu, pad, prefix_sums
+from hives.hive import Hive, boundary, is_partition, p_mu, pad, prefix_sums
 from hives.enumeration import enumerate_hives
 from hives.octahedron import propagate, check_pcpm
 from hives.tableaux import partitions_in_box
@@ -49,6 +49,34 @@ ORIENTATIONS = {
     "E:O>XY,Y>YZ,X>XZ": lambda n: (lambda a, b: (a + b - n, n - a)),
     "F:O>XZ,Y>XY,X>YZ": lambda n: (lambda a, b: (n - a, n - b)),
 }
+
+
+def ground_function(mu):
+    """The canonical DC function of size 2n determined by mu on the ground
+    face of the doubled grid.
+
+    With S the prefix sums of mu it is S_x where y >= n, S_{x+y-n} where
+    y <= n <= x+y, and -mu_1 * (n - x - y) on x + y <= n; equivalently
+    min(Sbar(x), Sbar(x+y-n)) for the concave extension Sbar of S with slope
+    mu_1 to the left and 0 to the right.  Its hypotenuse increments are
+    (mu, 0^n), matching the base glue that forced_values puts on the
+    ceiling; it is deliberately not normalized (the origin sits at
+    -n * mu_1).
+    """
+    if not is_partition(mu):
+        raise ValueError(f"ground_function: {mu} is not a partition")
+    n = len(mu)
+    s = prefix_sums(mu)
+    mu1 = mu[0] if mu else 0
+
+    def g(x, y):
+        if y >= n:
+            return s[x]
+        if x + y >= n:
+            return s[x + y - n]
+        return -mu1 * (n - x - y)
+
+    return Hive.build(2 * n, g)
 
 
 def forced_values(h, chart, n):

@@ -4,11 +4,10 @@ hives, octahedron-recursion propagation, and piecewise-linear bijections."""
 from .grids import (FaceChart, UnitOctahedron, UnitRhombus2D, rhombus,
                     cutting_sections, section_rhombi_3d, tetra_points,
                     tri_points, unit_octahedra, unit_rhombi_2d)
-from .hive import (BoundaryTriple, Hive, boundary, ceiling_extension,
-                   ground_function, is_dc, is_partition, op_tuple, p_mu,
+from .hive import (BoundaryTriple, Hive, boundary, is_partition, p_mu,
                    validate_dc)
 from .tableaux import SkewShape, SkewTableau, lr_coefficient, schur_product
-from .enumeration import (HiveSet, brute_force_count, count_hives,
+from .enumeration import (brute_force_count, count_hives,
                           enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
 from .octahedron import (PcpmReport, TetraFunction, check_pcpm,
@@ -23,11 +22,10 @@ __all__ = [
     "FaceChart", "UnitOctahedron", "UnitRhombus2D", "rhombus",
     "cutting_sections", "section_rhombi_3d", "tetra_points", "tri_points",
     "unit_octahedra", "unit_rhombi_2d",
-    "BoundaryTriple", "Hive", "boundary", "ceiling_extension",
-    "ground_function", "is_dc", "is_partition", "op_tuple", "p_mu",
+    "BoundaryTriple", "Hive", "boundary", "is_partition", "p_mu",
     "validate_dc",
     "SkewShape", "SkewTableau", "lr_coefficient", "schur_product",
-    "HiveSet", "brute_force_count", "count_hives", "enumerate_glued_pairs",
+    "brute_force_count", "count_hives", "enumerate_glued_pairs",
     "enumerate_hives", "enumerate_wall_pairs",
     "PcpmReport", "TetraFunction", "check_pcpm", "check_polarized",
     "extract_face", "inverse_propagate", "propagate",

@@ -43,10 +43,6 @@ class GluedPair:
     f1: Hive
     f2: Hive
 
-    @property
-    def glue(self) -> tuple[int, ...]:
-        return boundary(self.f1).hyp
-
     def validate(self) -> None:
         if self.f1.n != self.f2.n:
             raise ValueError("glued pair: sizes differ")
@@ -68,10 +64,6 @@ class WallPair:
 
     w1: Hive
     w2: Hive
-
-    @property
-    def glue(self) -> tuple[int, ...]:
-        return boundary(self.w1).base
 
     def validate(self) -> None:
         if self.w1.n != self.w2.n:
@@ -114,18 +106,10 @@ def assoc_inverse(pair: WallPair) -> GluedPair:
     return GluedPair(f1, f2)
 
 
-def half_octahedron_points(n: int) -> list[TetraPoint]:
-    """Lattice points of the top half of the octahedron inscribed in the
-    size-2n tetrahedron: y <= n, z <= n, y + z >= n, x + y + z <= 2n."""
-    return [(x, y, z)
-            for z in range(n + 1)
-            for y in range(n - z, n + 1)
-            for x in range(2 * n - y - z + 1)]
-
-
 def half_octahedron_function(h: Hive) -> dict[TetraPoint, int]:
     """The polarized discretely concave function on the half-octahedron
-    determined by h.
+    determined by h, keyed by its lattice points (y <= n, z <= n,
+    y + z >= n, x + y + z <= 2n).
 
     The ceiling face (x + y + z = 2n) carries h via (x, y, z) ->
     h(n - y, n - z), so the apex YZ = (0, n, n) takes h's origin value and

@@ -1,7 +1,8 @@
 """The identity suites behind ``hives selfcheck`` and their case generators.
 
 Each suite re-checks one promise exactly over a fixed universe of cases and
-returns (cases covered, failure messages).  The test suite draws its cases
+returns (cases covered, failure messages); a suite that covers no case
+fails.  The test suite draws its cases
 from the same generators but keeps its own assertions, so a bug in a check
 cannot pass both.
 """
@@ -9,7 +10,7 @@ cannot pass both.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import partial, wraps
 from itertools import product
 from typing import Callable, Iterator
 
@@ -79,12 +80,12 @@ def random_glued_pairs(seed: int, count: int) -> list[tuple[Hive, Hive]]:
         mu, g = partition(), partition()
         lam = pad(pick(partitions_in_box(sum(mu) + sum(g), 4, 4)), 4)
         grounds = enumerate_hives(mu, g, lam)
-        if not len(grounds):
+        if not grounds:
             continue
         pi = pad(pick(partitions_in_box(rng.randint(0, sum(g)), 4, 2)), 4)
         sigma = pad(pick(partitions_in_box(sum(g) - sum(pi), 4, 4)), 4)
         ceilings = enumerate_hives(pi, sigma, g)
-        if len(ceilings):
+        if ceilings:
             out.append((pick(grounds), pick(ceilings)))
     return out
 
@@ -110,6 +111,19 @@ def bump(t: TetraFunction, point: TetraPoint, delta: int) -> TetraFunction:
 
 # ---------------------------------------------------------------- suites
 
+def _suite(run: Callable[..., SuiteResult]) -> Callable[..., SuiteResult]:
+    """Make a suite that covers no case fail: an empty universe proves
+    nothing, so it must not read as a pass."""
+    @wraps(run)
+    def checked(*args, **kwargs) -> SuiteResult:
+        cases, failures = run(*args, **kwargs)
+        if not cases:
+            failures = failures + [f"{run.__name__}: no cases covered"]
+        return cases, failures
+    return checked
+
+
+@_suite
 def lr_equivalence(max_n: int, max_part: int,
                    inject_fault: bool = False) -> SuiteResult:
     """count_hives == lr_coefficient over the whole box.  inject_fault
@@ -125,6 +139,7 @@ def lr_equivalence(max_n: int, max_part: int,
     return len(triples), failures
 
 
+@_suite
 def propagation(max_part: int, random_cases: int) -> SuiteResult:
     """Propagate every glued pair at n = 2 plus ``random_cases`` seeded
     pairs at n = 4; check PCPM membership, section concavity, the wall
@@ -160,6 +175,7 @@ def propagation(max_part: int, random_cases: int) -> SuiteResult:
     return len(tagged), failures
 
 
+@_suite
 def associativity(max_part: int) -> SuiteResult:
     """Bijectivity of assoc_forward between the two coproducts at n = 2,
     with both coproduct cardinalities cross-checked against sums of
@@ -199,6 +215,7 @@ def associativity(max_part: int) -> SuiteResult:
     return cases, failures
 
 
+@_suite
 def commutativity(max_part: int) -> SuiteResult:
     """Commutor bijectivity and half-octahedron diagnostics over
     commutor_triples."""
@@ -206,10 +223,10 @@ def commutativity(max_part: int) -> SuiteResult:
     cases = 0
     for mu, nu, lam in commutor_triples(min(2, max_part)):
         hs = enumerate_hives(mu, nu, lam)
-        if not len(hs):
+        if not hs:
             continue
         cases += 1
-        target = set(enumerate_hives(nu, mu, lam).members)
+        target = set(enumerate_hives(nu, mu, lam))
         if len(target) != len(hs):
             failures.append(f"|DC({mu},{nu};{lam})| != |DC({nu},{mu};{lam})|")
         outs = set()

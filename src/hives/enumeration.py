@@ -14,31 +14,14 @@ tableau oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import product
+from typing import Callable
 
 from .grids import TriPoint, tri_points, unit_rhombi_2d
 from .hive import (BoundaryTriple, Hive, Partition, is_partition, pad,
                    prefix_sums)
-
-
-@dataclass(frozen=True)
-class HiveSet:
-    """All normalized DC hives with a fixed partition boundary, in canonical
-    order (lexicographic by value vector over canonical point order)."""
-
-    boundary: BoundaryTriple
-    members: tuple[Hive, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Hive]:
-        return iter(self.members)
-
-    def __getitem__(self, k: int) -> Hive:
-        return self.members[k]
+from .tableaux import partitions_in_box
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +74,11 @@ def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
     return values
 
 
-def enumerate_hives(mu: Partition, nu: Partition, lam: Partition) -> HiveSet:
-    """All normalized DC hives with left mu, hypotenuse nu, base lam.
+def enumerate_hives(mu: Partition, nu: Partition,
+                    lam: Partition) -> tuple[Hive, ...]:
+    """All normalized DC hives with left mu, hypotenuse nu, base lam, in
+    canonical order (lexicographic by value vector over canonical point
+    order).
 
     Arguments are zero-padded to a common length; the result is empty when
     any argument is not a partition or the weights do not balance.
@@ -101,14 +87,14 @@ def enumerate_hives(mu: Partition, nu: Partition, lam: Partition) -> HiveSet:
     mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
     bt = BoundaryTriple(mu, nu, lam)
     if not bt.is_partition_triple() or not bt.weights_balance():
-        return HiveSet(bt, ())
+        return ()
 
     values = _boundary_values(mu, nu, lam, n)
     edge_rhombi, steps = _completion_plan(n)
     for rh in edge_rhombi:
         (c1, c2), (f1, f2) = rh.cut, rh.free
         if values[c1] + values[c2] < values[f1] + values[f2]:
-            return HiveSet(bt, ())
+            return ()
 
     members: list[Hive] = []
 
@@ -135,7 +121,7 @@ def enumerate_hives(mu: Partition, nu: Partition, lam: Partition) -> HiveSet:
             del values[p]
 
     extend(0)
-    return HiveSet(bt, tuple(members))
+    return tuple(members)
 
 
 def count_hives(mu: Partition, nu: Partition, lam: Partition) -> int:
@@ -191,13 +177,33 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
     return count
 
 
-def _glue_candidates(total: int, n: int, max_part: int) -> list[Partition]:
-    """Partitions of ``total`` with at most n parts each <= max_part, padded
-    to length n, in descending lexicographic order."""
-    from .tableaux import partitions_in_box
-    if total < 0 or max_part < 0:
+def _coproduct(parts: tuple[Partition, ...], inner: slice,
+               factors: Callable[..., tuple]) -> list[tuple[Hive, Hive]]:
+    """The pairs of DC(*first) x DC(*second) over every glue partition g,
+    where (first, second) = factors(mu, pi, sigma, lam, g).
+
+    parts is (mu, pi, sigma, lam), zero-padded here to a common length n;
+    the glue is the product of the pair parts[inner], so g runs over the
+    partitions of that pair's weight with at most n parts, each at most
+    lam_1 and the sum of the pair's first parts, in descending lex order.
+    Pairs come by g, then by member order.  The result is empty when any
+    argument is not a partition or sum(mu) + sum(pi) + sum(sigma) differs
+    from sum(lam).
+    """
+    n = max(*map(len, parts), 1)
+    parts = tuple(pad(t, n) for t in parts)
+    mu, pi, sigma, lam = parts
+    if (not all(is_partition(t) for t in parts)
+            or sum(mu) + sum(pi) + sum(sigma) != sum(lam)):
         return []
-    return [pad(g, n) for g in partitions_in_box(total, n, max_part)]
+    a, b = parts[inner]
+    pairs: list[tuple[Hive, Hive]] = []
+    for g in partitions_in_box(sum(a) + sum(b), n, min(lam[0], a[0] + b[0])):
+        first, second = factors(*parts, pad(g, n))
+        lefts = enumerate_hives(*first)
+        if lefts:
+            pairs.extend(product(lefts, enumerate_hives(*second)))
+    return pairs
 
 
 def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
@@ -208,21 +214,9 @@ def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
     This is the ground/ceiling-side coproduct of the associativity identity;
     pairs are ordered by g (descending lex) then by member order.
     """
-    n = max(len(mu), len(lam), len(pi), len(sigma), 1)
-    mu, lam, pi, sigma = (pad(t, n) for t in (mu, lam, pi, sigma))
-    if not all(is_partition(t) for t in (mu, lam, pi, sigma)):
-        return []
-    total = sum(lam) - sum(mu)
-    if total != sum(pi) + sum(sigma):
-        return []
-    pairs: list[tuple[Hive, Hive]] = []
-    for g in _glue_candidates(total, n, min(lam[0], pi[0] + sigma[0])):
-        lefts = enumerate_hives(mu, g, lam)
-        if not len(lefts):
-            continue
-        rights = enumerate_hives(pi, sigma, g)
-        pairs.extend((f1, f2) for f1 in lefts for f2 in rights)
-    return pairs
+    return _coproduct((mu, pi, sigma, lam), slice(1, 3),
+                      lambda mu, pi, sigma, lam, g: ((mu, g, lam),
+                                                     (pi, sigma, g)))
 
 
 def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
@@ -230,20 +224,9 @@ def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
     """All pairs (w1, w2) with w1 in DC(mu, pi; t) and w2 in DC(t, sigma; lam),
     the union running over every partition t that balances both weights.
 
-    This is the wall-side coproduct targeted by the associativity bijection.
+    This is the wall-side coproduct targeted by the associativity bijection;
+    pairs are ordered by t (descending lex) then by member order.
     """
-    n = max(len(mu), len(pi), len(sigma), len(lam), 1)
-    mu, pi, sigma, lam = (pad(t, n) for t in (mu, pi, sigma, lam))
-    if not all(is_partition(t) for t in (mu, pi, sigma, lam)):
-        return []
-    total = sum(mu) + sum(pi)
-    if total + sum(sigma) != sum(lam):
-        return []
-    pairs: list[tuple[Hive, Hive]] = []
-    for t in _glue_candidates(total, n, min(lam[0], mu[0] + pi[0])):
-        lefts = enumerate_hives(mu, pi, t)
-        if not len(lefts):
-            continue
-        rights = enumerate_hives(t, sigma, lam)
-        pairs.extend((w1, w2) for w1 in lefts for w2 in rights)
-    return pairs
+    return _coproduct((mu, pi, sigma, lam), slice(0, 2),
+                      lambda mu, pi, sigma, lam, t: ((mu, pi, t),
+                                                     (t, sigma, lam)))

@@ -104,10 +104,6 @@ class UnitOctahedron:
     def vertices(self) -> tuple[TetraPoint, ...]:
         return (self.ox, self.oy, self.oz, self.xy, self.xz, self.yz)
 
-    def diagonals(self) -> tuple[tuple[TetraPoint, TetraPoint], ...]:
-        """The three antipodal pairs, main diagonal last."""
-        return ((self.ox, self.yz), (self.oy, self.xz), (self.oz, self.xy))
-
 
 @dataclass(frozen=True)
 class FaceChart:

@@ -24,11 +24,6 @@ def is_partition(t: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(t, t[1:])) and (not t or t[-1] >= 0)
 
 
-def op_tuple(t: IncrementTuple) -> IncrementTuple:
-    """The reversed tuple (t_n, ..., t_1); an involution."""
-    return tuple(reversed(t))
-
-
 def pad(t: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Zero-pad t to length n."""
     if len(t) > n:
@@ -122,10 +117,6 @@ def validate_dc(h: Hive) -> list[UnitRhombus2D]:
     return [rh for rh in unit_rhombi_2d(h.n) if rhombus_slack(h, rh) < 0]
 
 
-def is_dc(h: Hive) -> bool:
-    return not validate_dc(h)
-
-
 def boundary(h: Hive) -> BoundaryTriple:
     """Boundary increments of h.  For a DC hive all three are non-increasing
     and sum(left) + sum(hyp) == sum(base)."""
@@ -155,66 +146,3 @@ def require_dc_partition_boundary(h: Hive, where: str) -> BoundaryTriple:
     if not b.is_partition_triple():
         raise ValueError(f"{where}: boundary increments {b} are not partitions")
     return b
-
-
-def ceiling_extension(h: Hive) -> Hive:
-    """The piecewise extension of a DC hive with partition boundary
-    (mu, nu, lam) from the central triangle of the doubled grid.
-
-    On the size-2n grid with corner roles Y = (0,0), X = (2n,0), Z = (0,2n),
-    the central triangle {a+b >= n, a <= n, b <= n} carries h via
-    (a, b) -> h(a+b-n, n-b), and the three corner triangles extend it:
-    constant along b below the central triangle (F = h(0, a)), constant
-    along a beyond it (F = h(b, n-b)), and linear in b above it
-    (F = h(a+b-n, 0) - lam_1 * (b - n)).
-
-    The result is normalized, restricts to h on the central triangle, and
-    its edges carry, in order along each side: base (mu, 0^n), left edge
-    (0^n, lam - lam_1 * 1_n), hypotenuse from Z (lam_1 * 1_n, -nu^op).
-    Each corner triangle is separable, hence discretely concave on its own,
-    but the inequalities may fail on the seams of the central triangle
-    (validate_dc reports exactly where), so this extension is a boundary
-    gadget rather than an input to propagation; the commutativity bijection
-    is built on the half-octahedron instead (see hives.bijections).
-    """
-    b = require_dc_partition_boundary(h, "ceiling_extension")
-    n = h.n
-    lam1 = b.base[0] if b.base else 0
-
-    def f(a: int, bb: int) -> int:
-        if a + bb <= n:
-            return h[0, a]
-        if a >= n:
-            return h[bb, n - bb]
-        if bb >= n:
-            return h[a + bb - n, 0] - lam1 * (bb - n)
-        return h[a + bb - n, n - bb]
-
-    return Hive.build(2 * n, f)
-
-
-def ground_function(mu: Partition) -> Hive:
-    """The canonical DC function of size 2n determined by mu on the ground
-    face of the doubled grid.
-
-    With S the prefix sums of mu it is S_x where y >= n, S_{x+y-n} where
-    y <= n <= x+y, and -mu_1 * (n - x - y) on x + y <= n; equivalently
-    min(Sbar(x), Sbar(x+y-n)) for the concave extension Sbar of S with slope
-    mu_1 to the left and 0 to the right.  Its hypotenuse increments are
-    (mu, 0^n), matching the ceiling extension's base; it is deliberately not
-    normalized (the origin sits at -n * mu_1).
-    """
-    if not is_partition(mu):
-        raise ValueError(f"ground_function: {mu} is not a partition")
-    n = len(mu)
-    s = prefix_sums(mu)
-    mu1 = mu[0] if mu else 0
-
-    def g(x: int, y: int) -> int:
-        if y >= n:
-            return s[x]
-        if x + y >= n:
-            return s[x + y - n]
-        return -mu1 * (n - x - y)
-
-    return Hive.build(2 * n, g)

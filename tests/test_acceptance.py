@@ -128,7 +128,7 @@ def test_criterion_5_commutor_bijection():
     hives_checked = 0
     for mu, nu, lam in triples:
         hs = enumerate_hives(mu, nu, lam)
-        target = set(enumerate_hives(nu, mu, lam).members)
+        target = set(enumerate_hives(nu, mu, lam))
         assert len(target) == len(hs)
         outs = set()
         for h in hs:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -5,13 +7,12 @@ from hives import bijections
 from hives.bijections import (GluedPair, WallPair, assoc_forward,
                               assoc_inverse, commutor,
                               half_octahedron_diagnostics,
-                              half_octahedron_function,
-                              half_octahedron_points)
+                              half_octahedron_function)
 from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.hive import Hive, boundary, pad
-from hives.tableaux import partitions_in_box
+from hives.tableaux import lr_coefficient, partitions_in_box
 
 
 @st.composite
@@ -23,7 +24,7 @@ def dc_hives(draw, parts=3, max_entry=2):
     lams = partitions_in_box(sum(mu) + sum(nu), parts, 2 * max_entry)
     assume(lams)
     lam = pad(draw(st.sampled_from(lams)), parts)
-    members = enumerate_hives(mu, nu, lam).members
+    members = enumerate_hives(mu, nu, lam)
     assume(members)
     return draw(st.sampled_from(members))
 
@@ -38,7 +39,6 @@ def test_assoc_forward_worked_example():
     b1, b2 = boundary(w.w1), boundary(w.w2)
     assert (b1.left, b1.hyp, b1.base) == ((1, 0), (1, 0), (2, 0))
     assert (b2.left, b2.hyp, b2.base) == ((2, 0), (0, 0), (2, 0))
-    assert w.glue == (2, 0)
 
 
 def test_assoc_zero():
@@ -97,6 +97,41 @@ def test_assoc_bijection_exhaustive_small():
             assert assoc_forward(assoc_inverse(w)) == w
 
 
+def test_assoc_bijection_n2_wide_lambda():
+    """The n = 2 classes that glued_universe(2, 2) leaves out: mu, pi,
+    sigma entries <= 2 and 4 < lam_1 <= 6."""
+    classes = pairs = 0
+    for mu, pi, sigma in product(partitions_upto(2, 2), repeat=3):
+        weight = sum(mu) + sum(pi) + sum(sigma)
+        for lam in partitions_in_box(weight, 2, 6):
+            lam = pad(lam, 2)
+            if lam[0] <= 4:
+                continue
+            domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+            target = enumerate_wall_pairs(mu, pi, sigma, lam)
+            glue, t_total = sum(pi) + sum(sigma), sum(mu) + sum(pi)
+            lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)
+                      for g in partitions_in_box(glue, 2, glue))
+            rhs = sum(lr_coefficient(mu, pi, t) * lr_coefficient(t, sigma, lam)
+                      for t in partitions_in_box(t_total, 2, t_total))
+            assert len(domain) == len(target) == lhs == rhs, (mu, pi, sigma,
+                                                             lam)
+            if not domain:
+                continue
+            classes += 1
+            pairs += len(domain)
+            images = set()
+            for f1, f2 in domain:
+                w = assoc_forward(GluedPair(f1, f2))
+                assert assoc_inverse(w) == GluedPair(f1, f2)
+                images.add((w.w1, w.w2))
+            assert images == set(target)
+            for w1, w2 in target:
+                w = WallPair(w1, w2)
+                assert assoc_forward(assoc_inverse(w)) == w
+    assert (classes, pairs) == (101, 109)
+
+
 def test_commutor_singleton_n1():
     o = commutor(Hive(((0, 3), (1,))))
     assert o.rows == ((0, 3), (2,))
@@ -118,11 +153,13 @@ def test_commutor_rejects_bad_input():
         commutor(Hive(((1, 3), (2,))))
 
 
-def test_half_octahedron_points():
-    pts = half_octahedron_points(1)
+def test_half_octahedron_function_domain():
+    """The keys are the half-octahedron: y <= n, z <= n, y + z >= n,
+    x + y + z <= 2n."""
+    pts = half_octahedron_function(Hive(((0, 3), (1,))))
     assert sorted(pts) == sorted([(0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
                                   (0, 1, 1)])
-    assert len(half_octahedron_points(2)) == 14
+    assert len(half_octahedron_function(F1)) == 14
 
 
 def test_half_octahedron_function_faces():
@@ -140,7 +177,7 @@ def test_half_octahedron_function_faces():
 def test_commutor_bijection_exhaustive_small():
     for mu, nu, lam in triple_universe(2, 2):
         hs = enumerate_hives(mu, nu, lam)
-        target = set(enumerate_hives(nu, mu, lam).members)
+        target = set(enumerate_hives(nu, mu, lam))
         assert len(target) == len(hs)
         outs = set()
         for h in hs:
@@ -158,7 +195,7 @@ def test_commutor_multiplicity_two_case():
     hs = enumerate_hives(mu, nu, lam)
     assert len(hs) == 2
     outs = {commutor(h) for h in hs}
-    assert outs == set(hs.members)  # mu == nu: the set maps onto itself
+    assert outs == set(hs)  # mu == nu: the set maps onto itself
     assert len(outs) == 2
 
 
@@ -185,11 +222,10 @@ def test_diagnostics_report_a_bumped_point(monkeypatch):
 
 
 def test_commutor_is_an_involution():
-    """commutor(commutor(h)) == h on every hive with at most 3 parts and
-    entries <= 2 (Henriques-Kamnitzer, "The octahedron recurrence and
-    gl(n) crystals")."""
-    hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
-    assert len(hives) == 173
+    """commutor(commutor(h)) == h on every hive of the 3x3x3 box
+    (Henriques-Kamnitzer, "The octahedron recurrence and gl(n) crystals")."""
+    hives = [h for t in triple_universe(3, 3) for h in enumerate_hives(*t)]
+    assert len(hives) == 960
     for h in hives:
         assert commutor(commutor(h)) == h, h.rows
 
@@ -202,16 +238,21 @@ def test_diagnostics_clean_n3_spot():
 
 
 def test_commutor_bijection_exhaustive_n3():
-    for mu, nu, lam in triple_universe(3, 2):
+    """Every triple of the 3x3x3 box: 940 nonempty triples, 960 hives."""
+    triples = hives = 0
+    for mu, nu, lam in triple_universe(3, 3):
         hs = enumerate_hives(mu, nu, lam)
-        if not len(hs):
+        if not hs:
             continue
-        target = set(enumerate_hives(nu, mu, lam).members)
+        triples += 1
+        hives += len(hs)
+        target = set(enumerate_hives(nu, mu, lam))
         outs = {commutor(h) for h in hs}
         assert len(outs) == len(hs) == len(target)
         assert outs <= target
         for h in hs:
             assert half_octahedron_diagnostics(h).ok()
+    assert (triples, hives) == (940, 960)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,7 +262,7 @@ def test_commutor_membership_random(h):
     o = commutor(h)
     bo = boundary(o)
     assert (bo.left, bo.hyp, bo.base) == (b.hyp, b.left, b.base)
-    assert o in set(enumerate_hives(b.hyp, b.left, b.base).members)
+    assert o in set(enumerate_hives(b.hyp, b.left, b.base))
     assert half_octahedron_diagnostics(h).ok()
 
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from hives import checks
 from hives.cli import main
 from hives.jsonio import dumps, hive_to_obj
 from hives.hive import Hive
@@ -139,6 +140,17 @@ def test_selfcheck_smallest_ranges_cover_every_suite(capsys):
                  "--random-cases", "0"]) == 0
     counts = re.findall(r"cases=(\d+)", capsys.readouterr().out)
     assert len(counts) == 4 and "0" not in counts
+
+
+@pytest.mark.parametrize("run", [
+    lambda: checks.lr_equivalence(2, -1),
+    lambda: checks.propagation(-1, 0),
+    lambda: checks.associativity(-1),
+])
+def test_suite_with_no_cases_fails(run):
+    # an empty universe proves nothing, so it must not read as a pass
+    cases, failures = run()
+    assert cases == 0 and failures
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
