@@ -1,4 +1,5 @@
-"""Exhaustive enumeration of integer hives with prescribed boundary.
+"""Exhaustive enumeration and counting of integer hives with prescribed
+boundary.
 
 The boundary increments pin every edge value of a normalized hive; interior
 values are searched depth-first in canonical point order, with the feasible
@@ -7,9 +8,19 @@ other three vertices are already fixed.  Kind-I rhombi below-left of a point
 always give an upper bound and kind-II rhombi a lower bound, so the interval
 is finite and the search terminates.
 
+The search runs on a plan compiled once per size n over flat indices into
+the canonical point order: each bound is a term v[a] + v[b] - v[c], and a
+hive's rows are slices of the flat value list.  Counting adds a memo at the
+first interior point of each row j.  Every unit rhombus spans at most three
+consecutive rows (kind III spans rows j-2..j), so once rows below j are
+filled, the inequalities left to check touch only rows j-2 and up.  The
+boundary is fixed for the whole search, so the number of completions from
+row j on depends on the interior values of rows j-2 and j-1 alone: a
+transfer over pairs of rows, as for Gelfand-Tsetlin patterns.
+
 The number of hives found equals the Littlewood-Richardson coefficient of
 the boundary triple, which the test suite checks against the independent
-tableau oracle.
+tableau oracle and against the unpruned brute_force_count.
 """
 
 from __future__ import annotations
@@ -23,42 +34,59 @@ from .hive import (BoundaryTriple, Hive, Partition, is_partition, pad,
                    prefix_sums)
 from .tableaux import partitions_in_box
 
-
 @lru_cache(maxsize=None)
 def _completion_plan(n: int):
-    """Fill order and bound recipes for the interior of a size-n hive.
+    """The search plan for the interior of a size-n hive, over flat indices
+    into canonical point order (tri_points(n)).
 
-    Returns (edge_rhombi, steps): edge_rhombi are the rhombi whose four
-    vertices all lie on the boundary (they must be checked once up front),
-    and steps lists, for each interior point in fill order, constraints
-    (role, other, (q1, q2)) over already-known points: role "cut" gives
-    value >= f(q1)+f(q2)-f(other), role "free" gives value <= the same.
+    Returns (edge_checks, steps, row_slices, memo_keys):
+    - edge_checks: (c1, c2, f1, f2) for each rhombus whose four vertices lie
+      on the boundary, requiring v[c1] + v[c2] >= v[f1] + v[f2];
+    - steps: (p, lower, upper) for each interior point in canonical order,
+      p being its flat index and lower and upper terms (a, b, c) meaning
+      v[a] + v[b] - v[c] over points fixed earlier, the value being at
+      least every lower term and at most every upper term;
+    - row_slices: row j of the hive is v[row_slices[j]];
+    - memo_keys: aligned with steps; at the first interior point of row j
+      the interior points of rows j-2 and j-1, elsewhere None.
+
+    Raises RuntimeError if some interior point lacks a lower or an upper
+    term, which would make its interval unbounded.
     """
-    interior = [(i, j) for (i, j) in tri_points(n)
+    points = tri_points(n)
+    index = {p: k for k, p in enumerate(points)}
+    row_slices = tuple(slice(index[(0, j)], index[(0, j)] + n - j + 1)
+                       for j in range(n + 1))
+    interior = [(i, j) for (i, j) in points
                 if i >= 1 and j >= 1 and i + j <= n - 1]
-    known = {p for p in tri_points(n)
-             if p[0] == 0 or p[1] == 0 or p[0] + p[1] == n}
-    edge_rhombi = tuple(rh for rh in unit_rhombi_2d(n)
+    known = set(points) - set(interior)
+    rhombi = unit_rhombi_2d(n)
+    edge_checks = tuple(tuple(index[q] for q in rh.vertices())
+                        for rh in rhombi
                         if all(q in known for q in rh.vertices()))
-    steps = []
+    steps, memo_keys = [], []
     for p in interior:
-        constraints = []
-        for rh in unit_rhombi_2d(n):
+        lower, upper = [], []
+        for rh in rhombi:
             verts = rh.vertices()
-            if p not in verts:
+            if p not in verts or not all(q in known for q in verts
+                                         if q != p):
                 continue
-            others = [q for q in verts if q != p]
-            if not all(q in known for q in others):
-                continue
-            if p in rh.cut:
-                other = rh.cut[0] if rh.cut[1] == p else rh.cut[1]
-                constraints.append(("cut", other, rh.free))
-            else:
-                other = rh.free[0] if rh.free[1] == p else rh.free[1]
-                constraints.append(("free", other, rh.cut))
-        steps.append((p, tuple(constraints)))
+            if p in rh.cut:  # p + other >= a + b
+                bounds, (a, b), pair = lower, rh.free, rh.cut
+            else:  # a + b >= p + other
+                bounds, (a, b), pair = upper, rh.cut, rh.free
+            other = pair[0] if pair[1] == p else pair[1]
+            bounds.append((index[a], index[b], index[other]))
+        if not lower or not upper:
+            raise RuntimeError(f"interior point {p} of a size-{n} hive has "
+                               f"no {'lower' if not lower else 'upper'} bound")
+        i, j = p
+        steps.append((index[p], tuple(lower), tuple(upper)))
+        memo_keys.append(tuple(index[q] for q in interior
+                               if j - 2 <= q[1] < j) if i == 1 else None)
         known.add(p)
-    return edge_rhombi, tuple(steps)
+    return edge_checks, tuple(steps), row_slices, tuple(memo_keys)
 
 
 def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
@@ -74,6 +102,34 @@ def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
     return values
 
 
+def _search_start(mu: Partition, nu: Partition, lam: Partition):
+    """(values, plan) for the search over DC(mu, nu; lam), or None when that
+    set is empty for a reason visible on the boundary.
+
+    values is the flat value list in canonical point order with the
+    boundary filled in and 0 at interior points.  Arguments are zero-padded
+    to a common length n; None means some argument is not a partition, the
+    weights do not balance, or a rhombus on the boundary is violated.
+    """
+    n = max(len(mu), len(nu), len(lam), 1)
+    mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
+    bt = BoundaryTriple(mu, nu, lam)
+    if not bt.is_partition_triple() or not bt.weights_balance():
+        return None
+    smu, snu = prefix_sums(mu), prefix_sums(nu)
+    values = list(prefix_sums(lam))
+    for j in range(1, n + 1):
+        values.append(smu[j])
+        if j < n:
+            values.extend([0] * (n - j - 1))
+            values.append(smu[n] + snu[n - j])
+    plan = _completion_plan(n)
+    for c1, c2, f1, f2 in plan[0]:
+        if values[c1] + values[c2] < values[f1] + values[f2]:
+            return None
+    return values, plan
+
+
 def enumerate_hives(mu: Partition, nu: Partition,
                     lam: Partition) -> tuple[Hive, ...]:
     """All normalized DC hives with left mu, hypotenuse nu, base lam, in
@@ -83,50 +139,65 @@ def enumerate_hives(mu: Partition, nu: Partition,
     Arguments are zero-padded to a common length; the result is empty when
     any argument is not a partition or the weights do not balance.
     """
-    n = max(len(mu), len(nu), len(lam), 1)
-    mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
-    bt = BoundaryTriple(mu, nu, lam)
-    if not bt.is_partition_triple() or not bt.weights_balance():
+    start = _search_start(mu, nu, lam)
+    if start is None:
         return ()
-
-    values = _boundary_values(mu, nu, lam, n)
-    edge_rhombi, steps = _completion_plan(n)
-    for rh in edge_rhombi:
-        (c1, c2), (f1, f2) = rh.cut, rh.free
-        if values[c1] + values[c2] < values[f1] + values[f2]:
-            return ()
-
+    values, (_, steps, row_slices, _) = start
     members: list[Hive] = []
-
-    def record() -> None:
-        members.append(Hive.build(n, lambda i, j: values[(i, j)]))
 
     def extend(k: int) -> None:
         if k == len(steps):
-            record()
+            members.append(Hive(tuple(values[s] for s in row_slices)))
             return
-        p, constraints = steps[k]
-        lo, hi = None, None
-        for role, other, (q1, q2) in constraints:
-            bound = values[q1] + values[q2] - values[other]
-            if role == "cut":
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None or hi is None:
-            raise RuntimeError(f"unbounded interior point {p}")  # unreachable
+        p, lower, upper = steps[k]
+        lo = max([values[a] + values[b] - values[c] for a, b, c in lower])
+        hi = min([values[a] + values[b] - values[c] for a, b, c in upper])
         for v in range(lo, hi + 1):
             values[p] = v
             extend(k + 1)
-            del values[p]
 
     extend(0)
     return tuple(members)
 
 
 def count_hives(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """|DC(mu, nu; lam)|; equals the LR coefficient c(mu, nu; lam)."""
-    return len(enumerate_hives(mu, nu, lam))
+    """|DC(mu, nu; lam)|; equals the LR coefficient c(mu, nu; lam).
+
+    Runs the search of enumerate_hives without building any hive.  The
+    number of completions from the first interior point of each row is
+    memoized on (that step, the interior values of the two rows below it);
+    see the module docstring.  The memo lives for one call only.
+    """
+    start = _search_start(mu, nu, lam)
+    if start is None:
+        return 0
+    values, (_, steps, _, memo_keys) = start
+    if not steps:
+        return 1
+    last = len(steps) - 1
+    memo: dict[tuple[int, ...], int] = {}
+
+    def fill(k: int) -> int:
+        p, lower, upper = steps[k]
+        lo = max([values[a] + values[b] - values[c] for a, b, c in lower])
+        hi = min([values[a] + values[b] - values[c] for a, b, c in upper])
+        if k == last:
+            return max(hi - lo + 1, 0)
+        key_points = memo_keys[k + 1]
+        total = 0
+        for v in range(lo, hi + 1):
+            values[p] = v
+            if key_points is None:
+                total += fill(k + 1)
+                continue
+            key = (k + 1, *[values[q] for q in key_points])
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = fill(k + 1)
+            total += found
+        return total
+
+    return fill(0)
 
 
 def brute_force_count(mu: Partition, nu: Partition, lam: Partition,

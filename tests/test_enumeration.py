@@ -1,5 +1,8 @@
 from itertools import product
 
+import pytest
+
+from hives import enumeration
 from hives.checks import triple_universe
 from hives.enumeration import (brute_force_count, count_hives,
                                enumerate_glued_pairs, enumerate_hives,
@@ -38,6 +41,56 @@ def test_canonical_order():
     hs = enumerate_hives((2, 1, 0), (2, 1, 0), (3, 2, 1))
     vectors = [h.values_in_order() for h in hs]
     assert vectors == sorted(vectors)
+
+
+REFERENCE = ((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1),
+             (9, 8, 7, 6, 5, 4, 2, 1))
+
+
+def test_canonical_order_reference_n8():
+    mu, nu, lam = REFERENCE
+    hs = enumerate_hives(mu, nu, lam)
+    assert len(set(hs)) == len(hs) == 1624
+    vectors = [h.values_in_order() for h in hs]
+    assert all(a < b for a, b in zip(vectors, vectors[1:]))
+    for h in hs:
+        assert h.is_normalized()
+        assert not validate_dc(h)
+        b = boundary(h)
+        assert (b.left, b.hyp, b.base) == (pad(mu, 8), pad(nu, 8), lam)
+    assert count_hives(mu, nu, lam) == len(hs)
+
+
+def test_count_equals_enumeration_n6():
+    cases = {((3, 2, 1), (3, 2, 1), (5, 4, 2, 1, 0, 0)): 4,
+             ((4, 3, 2, 1), (2, 2, 1), (5, 4, 3, 2, 1, 0)): 5,
+             ((3, 2, 2, 1, 1, 1), (3, 2, 1), (5, 4, 3, 2, 1, 1)): 3,
+             ((4, 3, 2, 1), (4, 3, 2, 1), (6, 5, 4, 3, 1, 1)): 18,
+             ((3, 2, 1), (3, 2, 1), (6, 6, 0, 0, 0, 0)): 0}
+    for (mu, nu, lam), c in cases.items():
+        assert count_hives(mu, nu, lam) == len(enumerate_hives(mu, nu, lam))
+        assert count_hives(mu, nu, lam) == c == lr_coefficient(mu, nu, lam)
+
+
+def test_count_matches_oracle_n4_n5():
+    # From n = 4 the row-pair memo of count_hives has nonempty keys, and
+    # from n = 5 its keys hold two rows; a key missing either row
+    # miscounts some triple of this box.
+    cases = triple_universe(4, 2) + triple_universe(5, 2) + [REFERENCE]
+    assert len(cases) == 5275
+    for mu, nu, lam in cases:
+        assert count_hives(mu, nu, lam) == lr_coefficient(mu, nu, lam), \
+            (mu, nu, lam)
+
+
+def test_plan_rejects_an_unbounded_point(monkeypatch):
+    # Without kind-I rhombi no interior point has an upper bound.
+    only_ii_iii = tuple(rh for rh in enumeration.unit_rhombi_2d(4)
+                        if rh.kind != "I")
+    monkeypatch.setattr(enumeration, "unit_rhombi_2d",
+                        lambda n: only_ii_iii)
+    with pytest.raises(RuntimeError, match="no upper bound"):
+        enumeration._completion_plan.__wrapped__(4)
 
 
 def test_oracle_equivalence_small_box():
