@@ -7,9 +7,9 @@ from .grids import (FaceChart, UnitOctahedron, UnitRhombus2D, rhombus,
 from .hive import (BoundaryTriple, Hive, boundary, is_partition, p_mu,
                    validate_dc)
 from .tableaux import SkewShape, SkewTableau, lr_coefficient, schur_product
-from .enumeration import (brute_force_count, count_hives,
-                          enumerate_glued_pairs, enumerate_hives,
-                          enumerate_wall_pairs)
+from .enumeration import (brute_force_count, count_glued_pairs, count_hives,
+                          count_wall_pairs, enumerate_glued_pairs,
+                          enumerate_hives, enumerate_wall_pairs)
 from .octahedron import (PcpmReport, TetraFunction, check_pcpm,
                          check_polarized, extract_face, inverse_propagate,
                          propagate)
@@ -25,8 +25,9 @@ __all__ = [
     "BoundaryTriple", "Hive", "boundary", "is_partition", "p_mu",
     "validate_dc",
     "SkewShape", "SkewTableau", "lr_coefficient", "schur_product",
-    "brute_force_count", "count_hives", "enumerate_glued_pairs",
-    "enumerate_hives", "enumerate_wall_pairs",
+    "brute_force_count", "count_glued_pairs", "count_hives",
+    "count_wall_pairs", "enumerate_glued_pairs", "enumerate_hives",
+    "enumerate_wall_pairs",
     "PcpmReport", "TetraFunction", "check_pcpm", "check_polarized",
     "extract_face", "inverse_propagate", "propagate",
     "CommutorDiagnostics", "GluedPair", "WallPair", "assoc_forward",

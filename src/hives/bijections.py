@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    unit_octahedra)
+from .grids import FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D
 from .hive import (Hive, boundary, prefix_sums,
                    require_dc_partition_boundary, validate_dc)
-from .octahedron import (extract_face, inverse_propagate, polarization_slack,
-                         propagate, section_rhombus_violations)
+from .octahedron import (_solve_row_forward, extract_face, inverse_propagate,
+                         polarization_slack, propagate,
+                         section_rhombus_violations)
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,36 @@ def assoc_inverse(pair: WallPair) -> GluedPair:
     return GluedPair(f1, f2)
 
 
+def _half_octahedron_layers(h: Hive) -> list[list[list[int] | None]]:
+    """The function of :func:`half_octahedron_function` as rows:
+    layers[z][y][x] is its value at (x, y, z) for n - z <= y <= n (lower y
+    are None).  The ceiling face is the last entry of every row, the
+    y = n face is row n of every layer, and the rest is solved in place in
+    the forward order of :func:`hives.octahedron.propagate`: z ascending,
+    y descending, x descending.
+    """
+    require_dc_partition_boundary(h, "half_octahedron_function")
+    n = h.n
+    smu = prefix_sums(boundary(h).left)
+    layers: list[list[list[int] | None]] = []
+    for z in range(n + 1):
+        layer: list[list[int] | None] = [None] * (n + 1)
+        layer[n] = list(smu[:n - z + 1])
+        ceiling = h.rows[n - z]
+        for y in range(n - 1, n - z - 1, -1):
+            row = [0] * (2 * n - y - z) + [ceiling[n - y]]
+            below_next = layers[z - 1][y + 1]
+            if y + z == n:
+                for x in range(len(row) - 2, -1, -1):
+                    row[x] = below_next[x] + row[x + 1] - below_next[x + 1]
+            else:
+                _solve_row_forward(row, layers[z - 1][y], below_next,
+                                   layer[y + 1])
+            layer[y] = row
+        layers.append(layer)
+    return layers
+
+
 def half_octahedron_function(h: Hive) -> dict[TetraPoint, int]:
     """The polarized discretely concave function on the half-octahedron
     determined by h, keyed by its lattice points (y <= n, z <= n,
@@ -115,34 +145,17 @@ def half_octahedron_function(h: Hive) -> dict[TetraPoint, int]:
     h(n - y, n - z), so the apex YZ = (0, n, n) takes h's origin value and
     the corners XY, XZ take the values at h's corners Y, X.  The y = n face
     carries the separable hive of mu = left(h).  Filling proceeds level by
-    level in z, within a level by descending x + y; each new point is the
-    OZ vertex of an octahedron whose other vertices are known, except on
-    the square base y + z = n where the OX vertex falls outside the
+    level in z, within a level by descending y, then x; each new point is
+    the OZ vertex of an octahedron whose other vertices are known, except
+    on the square base y + z = n where the OX vertex falls outside the
     half-octahedron and the rule degenerates to the equality of the two
     remaining diagonal sums.
     """
-    require_dc_partition_boundary(h, "half_octahedron_function")
     n = h.n
-    smu = prefix_sums(boundary(h).left)
-    values: dict[TetraPoint, int] = {}
-    for z in range(n + 1):
-        for y in range(n - z, n + 1):
-            x = 2 * n - y - z
-            values[(x, y, z)] = h[n - y, n - z]
-    for z in range(n + 1):
-        for x in range(n - z + 1):
-            values[(x, n, z)] = smu[x]
-    for z in range(1, n + 1):
-        for y in range(n - 1, n - z - 1, -1):
-            for x in range(2 * n - y - z - 1, -1, -1):
-                across = values[(x + 1, y + 1, z - 1)]
-                south = values[(x, y + 1, z - 1)] + values[(x + 1, y, z)]
-                if y + z == n:
-                    values[(x, y, z)] = south - across
-                else:
-                    east = values[(x + 1, y, z - 1)] + values[(x, y + 1, z)]
-                    values[(x, y, z)] = max(east, south) - across
-    return values
+    return {(x, y, z): v
+            for z, layer in enumerate(_half_octahedron_layers(h))
+            for y in range(n - z, n + 1)
+            for x, v in enumerate(layer[y])}
 
 
 def commutor(h: Hive) -> Hive:
@@ -153,9 +166,10 @@ def commutor(h: Hive) -> Hive:
     normalizes.  Injective with |DC(mu, nu; lam)| = |DC(nu, mu; lam)|.
     """
     n = h.n
-    values = half_octahedron_function(h)
-    apex = values[(0, n, n)]
-    return Hive.build(n, lambda i, j: values[(i, n - i - j, n)] - apex)
+    top = _half_octahedron_layers(h)[n]
+    apex = top[n][0]
+    return Hive(tuple(tuple(top[n - i - j][i] - apex for i in range(n - j + 1))
+                      for j in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -195,9 +209,13 @@ def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
 
     rhombus_bad = section_rhombus_violations(2 * n, values.__getitem__,
                                              values)
-    polar_bad = [oct for oct in unit_octahedra(2 * n)
-                 if all(v in values for v in oct.vertices())
-                 and polarization_slack(values, oct) != 0]
+    # The octahedra with all six vertices inside: bases with y, z <= n - 1,
+    # y + z >= n and x + y + z <= 2n - 2, in unit_octahedra(2n) order.
+    polar_bad = [oct for oct in (UnitOctahedron((x, y, z))
+                                 for z in range(n)
+                                 for y in range(n - z, n)
+                                 for x in range(2 * n - 1 - y - z))
+                 if polarization_slack(values, oct) != 0]
 
     square_bad = []
     for y in range(n):

@@ -105,8 +105,12 @@ def interior_points(n: int) -> list[TetraPoint]:
 
 def bump(t: TetraFunction, point: TetraPoint, delta: int) -> TetraFunction:
     """t with ``delta`` added at one point."""
-    return TetraFunction.build(
-        t.n, lambda x, y, z: t[x, y, z] + (delta if (x, y, z) == point else 0))
+    x, y, z = point
+    layers = [list(layer) for layer in t.layers]
+    row = list(layers[z][y])
+    row[x] += delta
+    layers[z][y] = row
+    return TetraFunction(layers)
 
 
 # ---------------------------------------------------------------- suites

@@ -5,6 +5,8 @@ selfcheck, render.  Exit codes: 0 success, 1 a mathematical identity or
 concavity check failed, 2 usage or input-schema error.  All outputs are
 deterministic.  --format json (lr, schur, verify) prints JSON instead of a
 table; --canonical (all but selfcheck and render) makes JSON byte-stable.
+--max-count (enumerate, pairs) counts the result first and exits 2 if it
+is larger, so a runaway listing is refused before it is built.
 selfcheck runs the suites of hives.checks; --max-n >= 2, --max-part >= 0
 and --random-cases >= 0 make every suite cover at least one case.
 """
@@ -17,7 +19,8 @@ import sys
 from . import checks
 from .bijections import (assoc_forward, assoc_inverse, commutor,
                          half_octahedron_diagnostics)
-from .enumeration import (count_hives, enumerate_glued_pairs, enumerate_hives,
+from .enumeration import (count_glued_pairs, count_hives, count_wall_pairs,
+                          enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
 from .hive import boundary, is_partition, validate_dc
 from .jsonio import (SchemaError, dumps, glued_pair_from_obj,
@@ -105,7 +108,17 @@ def cmd_schur(args) -> int:
     return EXIT_OK
 
 
+def _check_max_count(found: int, what: str, limit: int) -> None:
+    """Refuse, before anything is built, to list more than --max-count."""
+    if found > limit:
+        raise ValueError(f"{found} {what} exceed --max-count {limit}; "
+                         f"nothing was written")
+
+
 def cmd_enumerate(args) -> int:
+    if args.max_count is not None:
+        _check_max_count(count_hives(args.mu, args.nu, args.lam), "hives",
+                         args.max_count)
     hs = enumerate_hives(args.mu, args.nu, args.lam)
     obj = {"count": len(hs), "hives": [hive_to_obj(h) for h in hs]}
     _emit(dumps(obj, canonical=args.canonical), args.output)
@@ -114,11 +127,16 @@ def cmd_enumerate(args) -> int:
 
 def cmd_pairs(args) -> int:
     if args.side == "glued":
-        pairs = enumerate_glued_pairs(args.mu, args.lam, args.pi, args.sigma)
+        parts = (args.mu, args.lam, args.pi, args.sigma)
+        count, enumerate_pairs = count_glued_pairs, enumerate_glued_pairs
         keys = ("f1", "f2")
     else:
-        pairs = enumerate_wall_pairs(args.mu, args.pi, args.sigma, args.lam)
+        parts = (args.mu, args.pi, args.sigma, args.lam)
+        count, enumerate_pairs = count_wall_pairs, enumerate_wall_pairs
         keys = ("w1", "w2")
+    if args.max_count is not None:
+        _check_max_count(count(*parts), "pairs", args.max_count)
+    pairs = enumerate_pairs(*parts)
     obj = {"count": len(pairs),
            "pairs": [{keys[0]: hive_to_obj(a), keys[1]: hive_to_obj(b)}
                      for a, b in pairs]}
@@ -221,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--canonical", action="store_true",
                        help="byte-stable compact JSON output")
 
+    def max_count_option(p, what: str):
+        p.add_argument("--max-count", type=int_at_least(0),
+                       help=f"exit 2 without output when there are more "
+                            f"than this many {what} (counted first)")
+
     p = sub.add_parser("lr", help="one Littlewood-Richardson coefficient")
     p.add_argument("--mu", type=parse_partition, required=True)
     p.add_argument("--nu", type=parse_partition, required=True)
@@ -242,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=parse_partition, required=True)
     p.add_argument("--nu", type=parse_partition, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
+    max_count_option(p, "hives")
     p.add_argument("-o", "--output")
     json_options(p)
     p.set_defaults(fn=cmd_enumerate)
@@ -252,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--pi", type=parse_partition, required=True)
     p.add_argument("--sigma", type=parse_partition, required=True)
+    max_count_option(p, "pairs")
     p.add_argument("-o", "--output")
     json_options(p)
     p.set_defaults(fn=cmd_pairs)

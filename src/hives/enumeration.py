@@ -34,6 +34,9 @@ from .hive import (BoundaryTriple, Hive, Partition, is_partition, pad,
                    prefix_sums)
 from .tableaux import partitions_in_box
 
+Triple = tuple[Partition, Partition, Partition]
+
+
 @lru_cache(maxsize=None)
 def _completion_plan(n: int):
     """The search plan for the interior of a size-n hive, over flat indices
@@ -248,18 +251,19 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
     return count
 
 
-def _coproduct(parts: tuple[Partition, ...], inner: slice,
-               factors: Callable[..., tuple]) -> list[tuple[Hive, Hive]]:
-    """The pairs of DC(*first) x DC(*second) over every glue partition g,
-    where (first, second) = factors(mu, pi, sigma, lam, g).
+def _coproduct_terms(parts: tuple[Partition, ...], inner: slice,
+                     factors: Callable[..., tuple[Triple, Triple]]
+                     ) -> list[tuple[Triple, Triple]]:
+    """The boundary triples (first, second) = factors(mu, pi, sigma, lam, g)
+    of a coproduct, one per glue partition g; its pairs are those of
+    DC(*first) x DC(*second).
 
     parts is (mu, pi, sigma, lam), zero-padded here to a common length n;
     the glue is the product of the pair parts[inner], so g runs over the
     partitions of that pair's weight with at most n parts, each at most
     lam_1 and the sum of the pair's first parts, in descending lex order.
-    Pairs come by g, then by member order.  The result is empty when any
-    argument is not a partition or sum(mu) + sum(pi) + sum(sigma) differs
-    from sum(lam).
+    There are no terms when any argument is not a partition or
+    sum(mu) + sum(pi) + sum(sigma) differs from sum(lam).
     """
     n = max(*map(len, parts), 1)
     parts = tuple(pad(t, n) for t in parts)
@@ -268,13 +272,43 @@ def _coproduct(parts: tuple[Partition, ...], inner: slice,
             or sum(mu) + sum(pi) + sum(sigma) != sum(lam)):
         return []
     a, b = parts[inner]
+    return [factors(*parts, pad(g, n))
+            for g in partitions_in_box(sum(a) + sum(b), n,
+                                       min(lam[0], a[0] + b[0]))]
+
+
+def _coproduct(terms: list[tuple[Triple, Triple]]) -> list[tuple[Hive, Hive]]:
+    """The pairs of every term, by term, then by member order."""
     pairs: list[tuple[Hive, Hive]] = []
-    for g in partitions_in_box(sum(a) + sum(b), n, min(lam[0], a[0] + b[0])):
-        first, second = factors(*parts, pad(g, n))
+    for first, second in terms:
         lefts = enumerate_hives(*first)
         if lefts:
             pairs.extend(product(lefts, enumerate_hives(*second)))
     return pairs
+
+
+def _coproduct_size(terms: list[tuple[Triple, Triple]]) -> int:
+    """len(_coproduct(terms)), counted without building a hive."""
+    total = 0
+    for first, second in terms:
+        left = count_hives(*first)
+        if left:
+            total += left * count_hives(*second)
+    return total
+
+
+def _glued_terms(mu: Partition, lam: Partition, pi: Partition,
+                 sigma: Partition) -> list[tuple[Triple, Triple]]:
+    return _coproduct_terms((mu, pi, sigma, lam), slice(1, 3),
+                            lambda mu, pi, sigma, lam, g: ((mu, g, lam),
+                                                           (pi, sigma, g)))
+
+
+def _wall_terms(mu: Partition, pi: Partition, sigma: Partition,
+                lam: Partition) -> list[tuple[Triple, Triple]]:
+    return _coproduct_terms((mu, pi, sigma, lam), slice(0, 2),
+                            lambda mu, pi, sigma, lam, t: ((mu, pi, t),
+                                                           (t, sigma, lam)))
 
 
 def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
@@ -283,11 +317,17 @@ def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
     the union running over every partition g that balances both weights.
 
     This is the ground/ceiling-side coproduct of the associativity identity;
-    pairs are ordered by g (descending lex) then by member order.
+    pairs are ordered by g (descending lex) then by member order.  The
+    result is empty when any argument is not a partition or the weights
+    do not balance.
     """
-    return _coproduct((mu, pi, sigma, lam), slice(1, 3),
-                      lambda mu, pi, sigma, lam, g: ((mu, g, lam),
-                                                     (pi, sigma, g)))
+    return _coproduct(_glued_terms(mu, lam, pi, sigma))
+
+
+def count_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
+                      sigma: Partition) -> int:
+    """len(enumerate_glued_pairs(mu, lam, pi, sigma)), from hive counts."""
+    return _coproduct_size(_glued_terms(mu, lam, pi, sigma))
 
 
 def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
@@ -296,8 +336,14 @@ def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
     the union running over every partition t that balances both weights.
 
     This is the wall-side coproduct targeted by the associativity bijection;
-    pairs are ordered by t (descending lex) then by member order.
+    pairs are ordered by t (descending lex) then by member order.  The
+    result is empty when any argument is not a partition or the weights
+    do not balance.
     """
-    return _coproduct((mu, pi, sigma, lam), slice(0, 2),
-                      lambda mu, pi, sigma, lam, t: ((mu, pi, t),
-                                                     (t, sigma, lam)))
+    return _coproduct(_wall_terms(mu, pi, sigma, lam))
+
+
+def count_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
+                     lam: Partition) -> int:
+    """len(enumerate_wall_pairs(mu, pi, sigma, lam)), from hive counts."""
+    return _coproduct_size(_wall_terms(mu, pi, sigma, lam))

@@ -12,8 +12,9 @@ increments nu and base increments lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .grids import UnitRhombus2D, tri_points, unit_rhombi_2d
+from .grids import UnitRhombus2D, rhombus, tri_points
 
 Partition = tuple[int, ...]
 IncrementTuple = tuple[int, ...]
@@ -55,9 +56,11 @@ class Hive:
             if len(row) != n - j + 1:
                 raise ValueError(
                     f"row {j} has {len(row)} entries, expected {n - j + 1}")
-            for v in row:
-                if type(v) is not int:
-                    raise ValueError(f"row {j} holds {v!r}, not an int")
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            for j, row in enumerate(rows):
+                for v in row:
+                    if type(v) is not int:
+                        raise ValueError(f"row {j} holds {v!r}, not an int")
 
     @property
     def n(self) -> int:
@@ -77,7 +80,7 @@ class Hive:
         return cls.build(n, lambda i, j: 0)
 
     def shift(self, c: int) -> "Hive":
-        return Hive.build(self.n, lambda i, j: self[i, j] + c)
+        return Hive(tuple(tuple(v + c for v in row) for row in self.rows))
 
     def normalize(self) -> "Hive":
         """The translate vanishing at the origin."""
@@ -113,17 +116,33 @@ def rhombus_slack(h: Hive, rh: UnitRhombus2D) -> int:
 
 
 def validate_dc(h: Hive) -> list[UnitRhombus2D]:
-    """All violated unit rhombi; an empty list means h is discretely concave."""
-    return [rh for rh in unit_rhombi_2d(h.n) if rhombus_slack(h, rh) < 0]
+    """All violated unit rhombi; an empty list means h is discretely concave.
+
+    Listed in :func:`unit_rhombi_2d` order: anchors (i, j) by j, then i,
+    kinds I, II, III at each; the rows are scanned directly and a rhombus
+    object is made only for a violation."""
+    rows = h.rows
+    bad = []
+    for j in range(h.n - 1):
+        r0, r1, r2 = rows[j], rows[j + 1], rows[j + 2]
+        for i in range(len(r2)):
+            if r0[i + 1] + r1[i] < r0[i] + r1[i + 1]:
+                bad.append(rhombus("I", i, j))
+            if r0[i + 1] + r1[i + 1] < r1[i] + r0[i + 2]:
+                bad.append(rhombus("II", i, j))
+            if r1[i] + r1[i + 1] < r2[i] + r0[i + 1]:
+                bad.append(rhombus("III", i, j))
+    return bad
 
 
 def boundary(h: Hive) -> BoundaryTriple:
     """Boundary increments of h.  For a DC hive all three are non-increasing
     and sum(left) + sum(hyp) == sum(base)."""
-    n = h.n
-    left = tuple(h[0, j] - h[0, j - 1] for j in range(1, n + 1))
-    hyp = tuple(h[i, n - i] - h[i - 1, n - i + 1] for i in range(1, n + 1))
-    base = tuple(h[i, 0] - h[i - 1, 0] for i in range(1, n + 1))
+    n, rows = h.n, h.rows
+    left = tuple(rows[j][0] - rows[j - 1][0] for j in range(1, n + 1))
+    hyp = tuple(rows[n - i][i] - rows[n - i + 1][i - 1]
+                for i in range(1, n + 1))
+    base = tuple(rows[0][i] - rows[0][i - 1] for i in range(1, n + 1))
     return BoundaryTriple(left, hyp, base)
 
 

@@ -7,9 +7,23 @@ the other two diagonal sums:
 
 A function satisfying this at every unit octahedron is *polarized*.  Given
 values on the ground face (z = 0) and the ceiling face (x + y + z = n) there
-is exactly one polarized completion, obtained by solving for OZ level by
-level; given the two walls x = 0 and y = 0 the same rule solved for XY
-reconstructs the function, which is the inverse map.
+is exactly one polarized completion, obtained by solving for OZ; given the
+two walls x = 0 and y = 0 the same rule solved for XY reconstructs the
+function, which is the inverse map.
+
+Both solves run in place on row lists ``layers[z][y][x]``, a fixed local
+schedule (Speyer, "Perfect matchings and the octahedron recurrence").  Each
+new value row[x] is read from rows that are already complete, or from the
+part of its own row already filled:
+
+- forward (:func:`propagate`): z ascending, y descending, x descending;
+  T(x, y, z) is the OZ vertex of the octahedron based at (x, y, z - 1);
+- inverse (:func:`inverse_propagate`): y ascending, z descending, x
+  ascending; T(x, y, z) is the XY vertex of the octahedron based at
+  (x - 1, y - 1, z);
+- half-octahedron (:func:`hives.bijections.half_octahedron_function`): the
+  forward order on the top half of the octahedron inscribed in the size-2n
+  tetrahedron, with the degenerate rule on the square base y + z = n.
 
 A polarized function whose restriction to every cutting-plane section is
 discretely concave is called PCPM here; propagation from DC ground and
@@ -20,13 +34,14 @@ bijections in :mod:`hives.bijections`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container
+from itertools import chain
+from typing import Callable, Container, Mapping, Sequence
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     section_rhombi_3d, tri_points, unit_octahedra)
 from .hive import Hive
 
-Values3D = dict[TetraPoint, int]
+Rows = list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -49,10 +64,14 @@ class TetraFunction:
                 if len(row) != n - z - y + 1:
                     raise ValueError(f"row y={y} of layer z={z} has "
                                      f"{len(row)} entries, expected {n - z - y + 1}")
-                for v in row:
-                    if type(v) is not int:
-                        raise ValueError(f"row y={y} of layer z={z} holds "
-                                         f"{v!r}, not an int")
+        entries = chain.from_iterable(chain.from_iterable(layers))
+        if set(map(type, entries)) != {int}:
+            for z, layer in enumerate(layers):
+                for y, row in enumerate(layer):
+                    for v in row:
+                        if type(v) is not int:
+                            raise ValueError(f"row y={y} of layer z={z} "
+                                             f"holds {v!r}, not an int")
 
     @property
     def n(self) -> int:
@@ -69,10 +88,6 @@ class TetraFunction:
                                for y in range(n - z + 1))
                          for z in range(n + 1)))
 
-    @classmethod
-    def from_values(cls, n: int, values: Values3D) -> "TetraFunction":
-        return cls.build(n, lambda x, y, z: values[(x, y, z)])
-
     def shift(self, c: int) -> "TetraFunction":
         return TetraFunction.build(self.n, lambda x, y, z: self[x, y, z] + c)
 
@@ -83,10 +98,45 @@ def extract_face(t: TetraFunction, chart: FaceChart) -> Hive:
     if chart.n != t.n:
         raise ValueError(f"chart for grid size {chart.n} applied to a "
                          f"function of size {t.n}")
-    return Hive.build(chart.size, lambda i, j: t[chart.point(i, j)])
+    layers, size = t.layers, chart.size
+    ox, oy, oz = chart.origin
+    ax, ay, az = chart.e1
+    bx, by, bz = chart.e2
+    rows = []
+    for j in range(size + 1):  # row j starts at origin + j * e2
+        x, y, z = ox + j * bx, oy + j * by, oz + j * bz
+        rows.append([layers[z + i * az][y + i * ay][x + i * ax]
+                     for i in range(size - j + 1)])
+    return Hive(rows)
 
 
-def _install_ground_ceiling(ground: Hive, ceiling: Hive) -> tuple[Values3D, int]:
+def _solve_row_forward(row: list[int], below: Sequence[int],
+                       below_next: Sequence[int],
+                       beside: Sequence[int]) -> None:
+    """Fill row[x] for x descending from len(row) - 2, row[-1] being given,
+    as the OZ vertex of the octahedron based one level down:
+
+        row[x] = max(below[x + 1] + beside[x],
+                     below_next[x] + row[x + 1]) - below_next[x + 1],
+
+    where row is T(., y, z), below is T(., y, z - 1), below_next is
+    T(., y + 1, z - 1) and beside is T(., y + 1, z)."""
+    for x in range(len(row) - 2, -1, -1):
+        east = below[x + 1] + beside[x]
+        south = below_next[x] + row[x + 1]
+        row[x] = (east if east > south else south) - below_next[x + 1]
+
+
+def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
+    """The unique polarized function with the given ground and ceiling.
+
+    The ceiling is installed shifted by c = ground(0, n) - ceiling(0, 0), so
+    only the increments along the shared edge have to agree; ceiling(i, j)
+    lands at (i, n - i - j, j), the last entry of row y = n - i - j of
+    layer z = j.  Interior points are solved in place, z ascending, y
+    descending, x descending, at which moment all five other octahedron
+    vertices are known.
+    """
     n = ground.n
     if ceiling.n != n:
         raise ValueError(f"ground size {n} and ceiling size {ceiling.n} differ")
@@ -97,41 +147,27 @@ def _install_ground_ceiling(ground: Hive, ceiling: Hive) -> tuple[Values3D, int]
                 "ground hypotenuse and ceiling base disagree: "
                 f"ground({i},{n - i}) = {ground[i, n - i]} but "
                 f"ceiling({i},0) + {c} = {ceiling[i, 0] + c}")
-    values: Values3D = {}
-    for (i, j) in ((i, j) for j in range(n + 1) for i in range(n - j + 1)):
-        values[(i, j, 0)] = ground[i, j]
-        values[(i, n - i - j, j)] = ceiling[i, j] + c
-    return values, c
-
-
-def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
-    """The unique polarized function with the given ground and ceiling.
-
-    The ceiling is installed shifted by c = ground(0, n) - ceiling(0, 0), so
-    only the increments along the shared edge have to agree.  Interior
-    points are solved level by level (z ascending, x + y + z descending
-    within a level), at which moment all five other octahedron vertices are
-    known.
-    """
-    n = ground.n
-    values, _ = _install_ground_ceiling(ground, ceiling)
+    layers: list[Rows] = [[list(row) for row in ground.rows]]
     for z in range(1, n + 1):
-        for s in range(n - 1, z - 1, -1):
-            for x in range(s - z + 1):
-                y = s - z - x
-                values[(x, y, z)] = max(
-                    values[(x + 1, y, z - 1)] + values[(x, y + 1, z)],
-                    values[(x, y + 1, z - 1)] + values[(x + 1, y, z)],
-                ) - values[(x + 1, y + 1, z - 1)]
-    return TetraFunction.from_values(n, values)
+        below, top = layers[-1], ceiling.rows[z]
+        layer: Rows = [[]] * (n - z + 1)
+        layer[n - z] = [top[0] + c]
+        for y in range(n - z - 1, -1, -1):
+            row = [0] * (n - z - y) + [top[n - z - y] + c]
+            _solve_row_forward(row, below[y], below[y + 1], layer[y + 1])
+            layer[y] = row
+        layers.append(layer)
+    return TetraFunction(layers)
 
 
 def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
     """Reconstruction of a polarized function from its two walls.
 
     wall_x0 holds T(0, j, i) at (i, j) and wall_y0 holds T(i, 0, j); they
-    must agree on the shared edge x = y = 0.  Points with x, y >= 1 are
-    solved with x + y ascending by the propagation rule read backwards.
+    must agree on the shared edge x = y = 0.  Row y = 0 of every layer is
+    a row of wall_y0 and each row starts with a value of wall_x0; the rest
+    is solved in place by the propagation rule read backwards, y ascending,
+    z descending, x ascending.
     """
     n = wall_x0.n
     if wall_y0.n != n:
@@ -141,24 +177,28 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
             raise ValueError(
                 f"walls disagree on the shared edge at (0, 0, {k}): "
                 f"{wall_x0[k, 0]} vs {wall_y0[0, k]}")
-    values: Values3D = {}
-    for (i, j) in ((i, j) for j in range(n + 1) for i in range(n - j + 1)):
-        values[(0, j, i)] = wall_x0[i, j]
-        values[(i, 0, j)] = wall_y0[i, j]
-    for s in range(2, n + 1):
-        for x in range(1, s):
-            y = s - x
-            if y < 1:
-                continue
-            for z in range(n - s + 1):
-                values[(x, y, z)] = max(
-                    values[(x, y - 1, z)] + values[(x - 1, y, z + 1)],
-                    values[(x - 1, y, z)] + values[(x, y - 1, z + 1)],
-                ) - values[(x - 1, y - 1, z + 1)]
-    return TetraFunction.from_values(n, values)
+    layers: list[Rows] = [[list(wall_y0.rows[z])] + [[]] * (n - z)
+                          for z in range(n + 1)]
+    for y in range(1, n + 1):
+        wall = wall_x0.rows[y]
+        layers[n - y][y] = [wall[n - y]]
+        for z in range(n - y - 1, -1, -1):
+            # T(x, y, z) = max(T(x, y-1, z) + T(x-1, y, z+1),
+            #                  T(x-1, y, z) + T(x, y-1, z+1)) - T(x-1, y-1, z+1)
+            front, above, above_front = (layers[z][y - 1], layers[z + 1][y],
+                                         layers[z + 1][y - 1])
+            row = [wall[z]]
+            prev = row[0]
+            for x in range(1, n - z - y + 1):
+                a = front[x] + above[x - 1]
+                b = prev + above_front[x]
+                prev = (a if a > b else b) - above_front[x - 1]
+                row.append(prev)
+            layers[z][y] = row
+    return TetraFunction(layers)
 
 
-def polarization_slack(t: TetraFunction | Values3D,
+def polarization_slack(t: TetraFunction | Mapping[TetraPoint, int],
                        oct: UnitOctahedron) -> int:
     """Main-diagonal sum minus the max of the other two; zero iff polarized
     at this octahedron.  t may be any point -> value mapping."""

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -11,7 +12,9 @@ from hives.bijections import (GluedPair, WallPair, assoc_forward,
 from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
+from hives.grids import unit_octahedra
 from hives.hive import Hive, boundary, pad
+from hives.octahedron import polarization_slack
 from hives.tableaux import lr_coefficient, partitions_in_box
 
 
@@ -219,6 +222,30 @@ def test_diagnostics_report_a_bumped_point(monkeypatch):
     assert all((1, 2, 2) in oct.vertices() for oct in d.polarization_violations)
     assert not (d.square_violations or d.pmu_face_mismatch
                 or d.pnu_wall_mismatch)
+
+
+def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
+    """Polarization is checked on the octahedra generated inside the
+    half-octahedron; on 300 bumped functions it reports what filtering all
+    of unit_octahedra(2n) by membership reports, in the same order."""
+    rng = random.Random(20240612)
+    hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
+    checked = nonempty = 0
+    while checked < 300:
+        h = rng.choice(hives)
+        values = dict(half_octahedron_function(h))
+        point = rng.choice(sorted(values))
+        values[point] += rng.choice((-1, 1))
+        monkeypatch.setattr(bijections, "half_octahedron_function",
+                            lambda _: values)
+        want = tuple(oct for oct in unit_octahedra(2 * h.n)
+                     if all(v in values for v in oct.vertices())
+                     and polarization_slack(values, oct) != 0)
+        got = half_octahedron_diagnostics(h).polarization_violations
+        assert got == want, (h.rows, point)
+        checked += 1
+        nonempty += bool(got)
+    assert nonempty >= 100
 
 
 def test_commutor_is_an_involution():

@@ -72,6 +72,32 @@ def test_enumerate(tmp_path, capsys):
     assert obj["count"] == 2 and len(obj["hives"]) == 2
 
 
+REFERENCE = ["--mu", "6,5,4,3,2,1", "--nu", "6,5,4,3,2,1",
+             "--lambda", "9,8,7,6,5,4,2,1"]  # 1624 hives
+WIDE_PAIRS = ["--mu", "3,2,1", "--lambda", "6,4,3,2", "--pi", "2,1",
+              "--sigma", "3,2,1"]  # 38 pairs on each side
+
+
+@pytest.mark.parametrize("argv, found", [
+    (["enumerate", *REFERENCE], 1624),
+    (["pairs", "--side", "glued", *WIDE_PAIRS], 38),
+    (["pairs", "--side", "wall", *WIDE_PAIRS], 38),
+])
+def test_max_count_refuses_a_larger_result(argv, found, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--max-count", str(found - 1), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    what = "hives" if argv[0] == "enumerate" else "pairs"
+    assert f"{found} {what} exceed --max-count {found - 1}" in captured.err
+    assert captured.out == "" and not out.exists()
+    # at the limit the output is the one without a limit, byte for byte
+    assert main([*argv, "--canonical"]) == 0
+    unlimited = capsys.readouterr().out
+    assert main([*argv, "--canonical", "--max-count", str(found)]) == 0
+    assert capsys.readouterr().out == unlimited
+    assert json.loads(unlimited)["count"] == found
+
+
 def test_assoc_roundtrip_byte_identical(tmp_path, capsys):
     pair = write(tmp_path, "pair.json", PAIR)
     fwd = tmp_path / "walls.json"
@@ -162,6 +188,9 @@ def test_suite_with_no_cases_fails(run):
     ["enumerate", "--mu", "1", "--nu", "1", "--lambda", "2",
      "--format", "json"],
     ["render", "h.json", "--canonical"],
+    ["enumerate", "--mu", "1", "--nu", "1", "--lambda", "2",
+     "--max-count", "-1"],
+    ["lr", "--mu", "1", "--nu", "1", "--lambda", "2", "--max-count", "5"],
     ["selfcheck", "--threads", "2"],
 ])
 def test_bad_numbers_and_unoffered_options_are_usage_errors(argv, capsys):

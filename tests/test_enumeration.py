@@ -4,7 +4,8 @@ import pytest
 
 from hives import enumeration
 from hives.checks import triple_universe
-from hives.enumeration import (brute_force_count, count_hives,
+from hives.enumeration import (brute_force_count, count_glued_pairs,
+                               count_hives, count_wall_pairs,
                                enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.hive import Hive, boundary, pad, validate_dc
@@ -138,6 +139,8 @@ def test_glued_pairs_definitional_count():
 def test_glued_pairs_weight_mismatch_empty():
     assert enumerate_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
     assert enumerate_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
+    assert count_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
+    assert count_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
 
 
 def test_coproduct_cardinalities_agree():
@@ -148,4 +151,6 @@ def test_coproduct_cardinalities_agree():
             lam = pad(lam, 2)
             glued = enumerate_glued_pairs(mu, lam, pi, sigma)
             walls = enumerate_wall_pairs(mu, pi, sigma, lam)
-            assert len(glued) == len(walls), (mu, pi, sigma, lam)
+            assert (count_glued_pairs(mu, lam, pi, sigma) == len(glued)
+                    == len(walls) == count_wall_pairs(mu, pi, sigma, lam)), \
+                (mu, pi, sigma, lam)

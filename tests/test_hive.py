@@ -1,9 +1,11 @@
 import pathlib
+import random
 import runpy
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hives.checks import triple_universe
 from hives.enumeration import enumerate_hives
 from hives.grids import unit_rhombi_2d
 from hives.hive import (Hive, boundary, p_mu, prefix_sums, rhombus_slack,
@@ -49,6 +51,33 @@ def test_validate_dc_reports_all_violations():
     kinds = {(rh.kind, rh.anchor) for rh in validate_dc(spike)}
     # the spike breaks every rhombus whose free diagonal contains (1, 1)
     assert ("I", (0, 0)) in kinds and len(kinds) >= 3
+
+
+def test_validate_dc_matches_the_rhombus_list():
+    """The row scan reports exactly the rhombi of unit_rhombi_2d with
+    negative slack, in that order: n = 0, 1, 2 and 300 bumped hives."""
+    def by_rhombus(h):
+        return [rh for rh in unit_rhombi_2d(h.n) if rhombus_slack(h, rh) < 0]
+
+    small = [Hive(((0,),)), Hive(((0, 3), (1,))), Hive(((5, -2), (7,))),
+             WORKED, Hive(((0, 2, 2), (1, 4), (1,))),
+             Hive(((0, 0, 0), (0, 9), (0,)))]
+    rng = random.Random(20240611)
+    bumped = []
+    triples = [t for n in (3, 4, 5) for t in triple_universe(n, 2)
+               if sum(t[2]) >= 4]
+    while len(bumped) < 300:
+        hs = enumerate_hives(*rng.choice(triples))
+        if not hs:
+            continue
+        h = rng.choice(hs)
+        rows = [list(row) for row in h.rows]
+        j = rng.randrange(h.n + 1)
+        rows[j][rng.randrange(h.n - j + 1)] += rng.choice((-2, -1, 1, 2))
+        bumped.append(Hive(rows))
+    for h in small + bumped:
+        assert validate_dc(h) == by_rhombus(h), h.rows
+    assert sum(len(validate_dc(h)) >= 2 for h in bumped) >= 150
 
 
 def test_boundary_examples():

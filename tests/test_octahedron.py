@@ -150,6 +150,14 @@ def test_roundtrip_and_uniqueness_over_universe():
                 assert check_polarized(bump(t, p, d)), (p, d)
 
 
+def test_bump_changes_one_point():
+    t = worked_tetra()
+    for p in tetra_points(2):
+        b = bump(t, p, -3)
+        assert all(b[q] == t[q] - 3 * (q == p) for q in tetra_points(2))
+    assert t == worked_tetra()
+
+
 def test_pcpm2_property():
     # in a PCPM function, a ground equality of any size-2 subtetrahedron
     # forces the matching wall equality
