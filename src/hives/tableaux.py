@@ -5,6 +5,32 @@ semistandard tableaux of shape lam/mu and weight nu whose reverse reading
 word (right to left within each row, top row first) is a lattice word.  It
 never touches the hive machinery, so agreement between the two counts is a
 real cross-check rather than a tautology.
+
+Two searches count those tableaux.
+
+``lr_coefficient`` fixes lam and fills the cells of lam/mu one at a time in
+reading order, pruning on both semistandard conditions and on the lattice
+prefix.
+
+``schur_product`` does not fix lam.  It fills whole rows: row r gets
+a[r][k] copies of letter k, and lam_r = mu_r + sum_k a[r][k] falls out.
+Each a[r][k] is at most
+  - the content left, nu_k - sum_{s<r} a[s][k];
+  - the lattice room, sum_{s<r} a[s][k-1] - sum_{s<r} a[s][k] (row r reads
+    its k before its k - 1);
+  - the column room, so that the last k of row r sits under a letter
+    < k: mu_r + sum_{i<=k} a[r][i] <= mu_{r-1} + sum_{i<k} a[r-1][i].
+So the rows below r depend only on r, on where the letter prefixes of row
+r - 1 end, and on the content used so far.  One depth-first pass memoizes
+on that state, in a dict local to the call, and returns {lam suffix:
+count}.  This is the LR-tableau picture of Pak and Vallejo,
+"Combinatorics and geometry of Littlewood-Richardson cones"; A. Buch's
+lrcalc expands products the same way.
+
+The product is commutative, s_mu s_nu = s_nu s_mu, so either factor may
+serve as the content without changing a coefficient.  ``schur_product``
+fills with the factor of fewer parts (then smaller weight): fewer letters
+mean fewer row choices and fewer memo states.
 """
 
 from __future__ import annotations
@@ -51,55 +77,6 @@ class SkewShape:
 
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
-
-
-@dataclass(frozen=True)
-class SkewTableau:
-    """A filling of a skew shape, entries keyed by (row, column)."""
-
-    shape: SkewShape
-    entries: Filling
-
-    def __post_init__(self) -> None:
-        if set(self.entries) != set(self.shape.cells()):
-            raise ValueError("entries do not cover the skew cells exactly")
-
-    def reverse_word(self) -> list[int]:
-        """Entries right-to-left within rows, top row first."""
-        return [self.entries[c] for c in self.shape.cells()]
-
-    def weight(self) -> tuple[int, ...]:
-        word = self.reverse_word()
-        top = max(word, default=0)
-        return tuple(word.count(v) for v in range(1, top + 1))
-
-    def is_semistandard(self) -> bool:
-        for (r, c), v in self.entries.items():
-            if (r, c + 1) in self.entries and v > self.entries[(r, c + 1)]:
-                return False
-            if (r - 1, c) in self.entries and v <= self.entries[(r - 1, c)]:
-                return False
-        return True
-
-    def is_lattice(self) -> bool:
-        counts: dict[int, int] = {}
-        for v in self.reverse_word():
-            counts[v] = counts.get(v, 0) + 1
-            if v > 1 and counts[v] > counts.get(v - 1, 0):
-                return False
-        return True
-
-
-def is_lr_filling(shape: SkewShape, entries: Filling, weight: Partition) -> bool:
-    """Re-check one filling against all three defining predicates: rows
-    weakly increase, columns strictly increase, reverse word is lattice."""
-    if set(entries) != set(shape.cells()):
-        return False
-    if any(v < 1 for v in entries.values()):
-        return False
-    t = SkewTableau(shape, entries)
-    return (t.is_semistandard() and t.is_lattice()
-            and t.weight() == _trim(weight))
 
 
 def _lr_fillings(mu: Partition, nu: Partition, lam: Partition) -> Iterator[Filling]:
@@ -174,15 +151,64 @@ def partitions_in_box(total: int, max_parts: int, max_part: int) -> list[Partiti
     return out
 
 
+def _lr_rows(r: int, ends: tuple[int, ...], used: tuple[int, ...],
+             nu: Partition, shape: Partition,
+             memo: dict) -> dict[tuple[int, ...], int]:
+    """{(lam_r, ..., lam_{n-1}): count} over the LR fillings of rows r, r+1,
+    ... of lam/shape with content nu, where ends[k] is where letters <= k
+    end in row r - 1 and used[k] counts the letters k + 1 in rows above r.
+    The row ends and content after row r are the state for row r + 1.
+
+    This is a module function, not a closure: a recursive closure is a
+    reference cycle, which keeps each call's memo alive until the cyclic
+    collector runs and so raises the peak memory of many calls."""
+    key = (r,) + ends + used
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if used == nu:
+        out[shape[r:]] = 1
+    elif r < len(shape):
+        letters = len(nu)
+        # Row r, letter by letter: (end so far, ends of the letter prefixes,
+        # content used).  The lattice rule keeps letters > r + 1 out of it.
+        partial = [(shape[r], (shape[r],), used)]
+        for k in range(min(letters, r + 1)):
+            room = nu[k] - used[k]  # content left
+            if k:  # lattice: row r reads its letters k + 1 before its k
+                room = min(room, used[k - 1] - used[k])
+            grown = []
+            for col, row_ends, now in partial:
+                # column strictness: end under the letters <= k of row r - 1
+                for a in range(min(room, ends[k] - col) + 1):
+                    grown.append((col + a, row_ends + (col + a,),
+                                  now[:k] + (used[k] + a,) + now[k + 1:]))
+            partial = grown
+        for col, row_ends, now in partial:
+            for suffix, c in _lr_rows(r + 1, row_ends[:letters], now, nu,
+                                      shape, memo).items():
+                lam = (col,) + suffix
+                out[lam] = out.get(lam, 0) + c
+    memo[key] = out
+    return out
+
+
 def schur_product(mu: Partition, nu: Partition, n: int) -> dict[Partition, int]:
     """Expansion of the product of the Schur functions of mu and nu: all lam
-    with at most n parts and positive coefficient, mapped to c(mu, nu; lam)."""
+    with at most n parts and positive coefficient, mapped to c(mu, nu; lam),
+    in descending lexicographic order of lam."""
+    for p in (mu, nu):
+        if not is_partition(tuple(p)):
+            raise ValueError(f"{p} is not a partition")
+    if n < 0:
+        raise ValueError(f"number of parts {n} is negative")
     mu, nu = _trim(tuple(mu)), _trim(tuple(nu))
-    total = sum(mu) + sum(nu)
-    max_part = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    out: dict[Partition, int] = {}
-    for lam in partitions_in_box(total, n, max_part):
-        c = lr_coefficient(mu, nu, lam)
-        if c:
-            out[lam] = c
-    return out
+    if len(mu) > n or len(nu) > n:
+        return {}
+    # s_mu s_nu = s_nu s_mu: fill with the content that has fewer letters.
+    if (len(nu), sum(nu)) > (len(mu), sum(mu)):
+        mu, nu = nu, mu
+    found = _lr_rows(0, (sum(mu) + sum(nu),), (0,) * len(nu), nu,
+                     mu + (0,) * (n - len(mu)), {})
+    return {_trim(lam): found[lam] for lam in sorted(found, reverse=True)}

@@ -1,13 +1,97 @@
 
+import ast
+from dataclasses import dataclass
+from math import comb, factorial, prod
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from hives.tableaux import (SkewShape, SkewTableau, _lr_fillings,
-                            is_lr_filling, lr_coefficient, partitions_in_box,
-                            schur_product)
+import hives.tableaux
+from hives.tableaux import (Filling, SkewShape, _lr_fillings, _trim,
+                            lr_coefficient, partitions_in_box, schur_product)
 
 partitions = st.lists(st.integers(0, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+@dataclass(frozen=True)
+class SkewTableau:
+    """A filling of a skew shape, entries keyed by (row, column)."""
+
+    shape: SkewShape
+    entries: Filling
+
+    def __post_init__(self) -> None:
+        if set(self.entries) != set(self.shape.cells()):
+            raise ValueError("entries do not cover the skew cells exactly")
+
+    def reverse_word(self) -> list[int]:
+        """Entries right-to-left within rows, top row first."""
+        return [self.entries[c] for c in self.shape.cells()]
+
+    def weight(self) -> tuple[int, ...]:
+        word = self.reverse_word()
+        top = max(word, default=0)
+        return tuple(word.count(v) for v in range(1, top + 1))
+
+    def is_semistandard(self) -> bool:
+        for (r, c), v in self.entries.items():
+            if (r, c + 1) in self.entries and v > self.entries[(r, c + 1)]:
+                return False
+            if (r - 1, c) in self.entries and v <= self.entries[(r - 1, c)]:
+                return False
+        return True
+
+    def is_lattice(self) -> bool:
+        counts: dict[int, int] = {}
+        for v in self.reverse_word():
+            counts[v] = counts.get(v, 0) + 1
+            if v > 1 and counts[v] > counts.get(v - 1, 0):
+                return False
+        return True
+
+
+def is_lr_filling(shape: SkewShape, entries: Filling, weight) -> bool:
+    """Re-check one filling against all three defining predicates: rows
+    weakly increase, columns strictly increase, reverse word is lattice."""
+    if set(entries) != set(shape.cells()):
+        return False
+    if any(v < 1 for v in entries.values()):
+        return False
+    t = SkewTableau(shape, entries)
+    return (t.is_semistandard() and t.is_lattice()
+            and t.weight() == _trim(weight))
+
+
+def per_lambda_product(mu, nu, n):
+    """The Schur expansion one candidate lam at a time, by the oracle."""
+    mu, nu = _trim(mu), _trim(nu)
+    max_part = (mu[0] if mu else 0) + (nu[0] if nu else 0)
+    out = {}
+    for lam in partitions_in_box(sum(mu) + sum(nu), n, max_part):
+        c = lr_coefficient(mu, nu, lam)
+        if c:
+            out[lam] = c
+    return out
+
+
+def hook_product(lam) -> int:
+    lam = _trim(lam)
+    cols = [sum(1 for p in lam if p > c) for c in range(lam[0] if lam else 0)]
+    return prod((p - c - 1) + (cols[c] - r - 1) + 1
+                for r, p in enumerate(lam) for c in range(p))
+
+
+def standard_tableaux(lam) -> int:
+    """f^lam by the hook length formula."""
+    return factorial(sum(lam)) // hook_product(lam)
+
+
+def gl_dimension(lam, n: int) -> int:
+    """s_lam(1, ..., 1) with n ones, by the hook content formula."""
+    contents = prod(n + c - r for r, p in enumerate(lam) for c in range(p))
+    return contents // hook_product(lam)
 
 
 def test_pieri_singletons():
@@ -26,6 +110,11 @@ def test_weight_mismatch_and_containment():
 def test_rejects_non_partition():
     with pytest.raises(ValueError):
         lr_coefficient((1, 2), (1,), (2, 2))
+    # schur_product rejects bad input whether or not any lam would fit
+    for mu, nu, n in [((1, 2), (), 2), ((1, 2), (1,), 3), ((), (1, 2), 0),
+                      ((2,), (1, -1), 4), ((1,), (1,), -1), ((), (), -1)]:
+        with pytest.raises(ValueError):
+            schur_product(mu, nu, n)
 
 
 @given(partitions, partitions)
@@ -127,3 +216,77 @@ def test_partitions_in_box():
     assert partitions_in_box(4, 2, 2) == [(2, 2)]
     assert partitions_in_box(7, 2, 3) == []
     assert len(partitions_in_box(3, 3, 3)) == 3  # (3), (2,1), (1,1,1)
+
+
+STAIRCASE_4 = [p for t in range(11) for p in partitions_in_box(t, 4, 4)
+               if all(a <= b for a, b in zip(p, (4, 3, 2, 1)))]
+
+
+def test_schur_product_equals_per_lambda_sum_on_staircase_box():
+    assert len(STAIRCASE_4) == 42
+    cases = 0
+    for mu in STAIRCASE_4:
+        for nu in STAIRCASE_4:
+            for n in sorted({len(mu) + len(nu), 3}):
+                got = schur_product(mu, nu, n)
+                want = per_lambda_product(mu, nu, n)
+                assert got == want, (mu, nu, n)
+                assert list(got) == list(want), (mu, nu, n)  # same key order
+                cases += 1
+    assert cases == 3428
+
+
+@given(partitions, partitions, st.integers(0, 6), st.integers(0, 2),
+       st.integers(0, 2))
+def test_schur_product_commutes(mu, nu, n, pad_mu, pad_nu):
+    got = schur_product(mu + (0,) * pad_mu, nu + (0,) * pad_nu, n)
+    assert got == schur_product(nu, mu, n)
+    assert list(got) == list(schur_product(nu, mu, n))
+    if n < len(_trim(mu)) or n < len(_trim(nu)):
+        assert got == {}
+    else:
+        assert got == per_lambda_product(mu, nu, n)
+
+
+def test_schur_product_truncated_and_empty():
+    assert schur_product((2, 1), (1, 1), 1) == {}
+    assert schur_product((1,), (3, 2, 1), 2) == {}
+    assert schur_product((), (), 0) == {(): 1}
+    assert schur_product((2, 1), (), 2) == {(2, 1): 1}
+    assert schur_product((1, 1), (1,), 2) == {(2, 1): 1}
+
+
+def test_schur_product_hook_length_identity():
+    # untruncated: sum_lam c f^lam = C(|mu| + |nu|, |mu|) f^mu f^nu
+    for mu, nu in [((4, 3, 2, 1), (4, 3, 2, 1)), ((3, 3), (2, 1, 1, 1)),
+                   ((5,), (2, 2, 1))]:
+        exp = schur_product(mu, nu, len(mu) + len(nu))
+        lhs = sum(c * standard_tableaux(lam) for lam, c in exp.items())
+        assert lhs == (comb(sum(mu) + sum(nu), sum(mu))
+                       * standard_tableaux(mu) * standard_tableaux(nu))
+
+
+def test_schur_product_staircase_square_in_eight_parts():
+    mu = nu = (6, 5, 4, 3, 2, 1)
+    exp = schur_product(mu, nu, 8)
+    assert len(exp) == 2701
+    assert all(len(lam) <= 8 and c > 0 for lam, c in exp.items())
+    assert list(exp) == sorted(exp, reverse=True)
+    assert exp[(9, 8, 7, 6, 5, 4, 2, 1)] == 1624
+    # truncated to 8 parts, the product holds in 8 variables: evaluate at 1^8
+    lhs = sum(c * gl_dimension(lam, 8) for lam, c in exp.items())
+    assert lhs == gl_dimension(mu, 8) * gl_dimension(nu, 8)
+
+
+def test_oracle_imports_no_hive_code():
+    tree = ast.parse(Path(hives.tableaux.__file__).read_text())
+    relative = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hives") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("hives")
+            if node.level:
+                relative.setdefault(node.module, set()).update(
+                    a.name for a in node.names)
+    assert relative == {"hive": {"Partition", "is_partition"}}
