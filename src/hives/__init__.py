@@ -2,8 +2,8 @@
 hives, octahedron-recursion propagation, and piecewise-linear bijections."""
 
 from .grids import (FaceChart, UnitOctahedron, UnitRhombus2D, rhombus,
-                    cutting_sections, section_rhombi_3d, tetra_points,
-                    tri_points, unit_octahedra, unit_rhombi_2d)
+                    cutting_sections, tetra_points, tri_points,
+                    unit_octahedra, unit_rhombi_2d)
 from .hive import (BoundaryTriple, Hive, boundary, is_partition, p_mu,
                    validate_dc)
 from .tableaux import SkewShape, lr_coefficient, schur_product
@@ -20,8 +20,8 @@ from .bijections import (CommutorDiagnostics, GluedPair, WallPair,
 
 __all__ = [
     "FaceChart", "UnitOctahedron", "UnitRhombus2D", "rhombus",
-    "cutting_sections", "section_rhombi_3d", "tetra_points", "tri_points",
-    "unit_octahedra", "unit_rhombi_2d",
+    "cutting_sections", "tetra_points", "tri_points", "unit_octahedra",
+    "unit_rhombi_2d",
     "BoundaryTriple", "Hive", "boundary", "is_partition", "p_mu",
     "validate_dc",
     "SkewShape", "lr_coefficient", "schur_product",

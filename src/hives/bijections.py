@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grids import FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D
+from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
+                    cutting_sections, tri_points, unit_rhombi_2d)
 from .hive import (Hive, boundary, prefix_sums,
                    require_dc_partition_boundary, validate_dc)
 from .octahedron import (_solve_row_forward, extract_face, inverse_propagate,
-                         polarization_slack, propagate,
-                         section_rhombus_violations)
+                         polarization_slack, propagate)
 
 
 @dataclass(frozen=True)
@@ -201,14 +201,31 @@ class CommutorDiagnostics:
                     or self.pnu_wall_mismatch)
 
 
+def _section_rhombus_violations(
+        n: int, values: dict[TetraPoint, int],
+) -> list[tuple[FaceChart, UnitRhombus2D]]:
+    """The failed rhombus inequalities of the cutting-plane sections of the
+    size-n tetrahedron among the rhombi with all four vertices in values,
+    in :func:`cutting_sections` order, then :func:`unit_rhombi_2d` order."""
+    bad = []
+    for chart in cutting_sections(n, min_size=2):
+        points = ((ij, chart.point(*ij)) for ij in tri_points(chart.size))
+        s = {ij: values[p] for ij, p in points if p in values}
+        for rh in unit_rhombi_2d(chart.size):
+            (c1, c2), (f1, f2) = rh.cut, rh.free
+            if (c1 in s and c2 in s and f1 in s and f2 in s
+                    and s[c1] + s[c2] < s[f1] + s[f2]):
+                bad.append((chart, rh))
+    return bad
+
+
 def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
     """Check every structural claim behind :func:`commutor` on one input."""
     n = h.n
     b = boundary(h)
     values = half_octahedron_function(h)
 
-    rhombus_bad = section_rhombus_violations(2 * n, values.__getitem__,
-                                             values)
+    rhombus_bad = _section_rhombus_violations(2 * n, values)
     # The octahedra with all six vertices inside: bases with y, z <= n - 1,
     # y + z >= n and x + y + z <= 2n - 2, in unit_octahedra(2n) order.
     polar_bad = [oct for oct in (UnitOctahedron((x, y, z))

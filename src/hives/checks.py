@@ -20,7 +20,7 @@ from .enumeration import (brute_force_count, count_hives,
                           enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
 from .grids import FaceChart, TetraPoint
-from .hive import Hive, Partition, pad, validate_dc
+from .hive import Hive, Partition, pad
 from .octahedron import (TetraFunction, check_pcpm, check_polarized,
                          extract_face, inverse_propagate, propagate)
 from .tableaux import lr_coefficient, partitions_in_box
@@ -146,8 +146,9 @@ def lr_equivalence(max_n: int, max_part: int,
 @_suite
 def propagation(max_part: int, random_cases: int) -> SuiteResult:
     """Propagate every glued pair at n = 2 plus ``random_cases`` seeded
-    pairs at n = 4; check PCPM membership, section concavity, the wall
-    roundtrip, and that single-point perturbations break polarization."""
+    pairs at n = 4; check PCPM membership, the wall roundtrip, and that
+    single-point perturbations break polarization.  A PCPM failure names
+    its first non-polarized octahedron and each non-DC section."""
     failures: list[str] = []
     glued = [(f"glued({mu},{pi},{sigma},{lam})", pair)
              for mu, pi, sigma, lam in glued_universe(2, min(2, max_part))
@@ -159,13 +160,16 @@ def propagation(max_part: int, random_cases: int) -> SuiteResult:
     for tag, (f1, f2) in tagged:
         t = propagate(f1, f2)
         n = t.n
-        if not check_pcpm(t).ok():
-            failures.append(f"{tag}: propagated function is not PCPM")
-        for k in range(n + 1):
-            for chart in (FaceChart.section_z(n, k),
-                          FaceChart.section_sum(n, k)):
-                if validate_dc(extract_face(t, chart)):
-                    failures.append(f"{tag}: section {chart.name} not DC")
+        report = check_pcpm(t)
+        if report.polarized_violations:
+            base = report.polarized_violations[0].base
+            failures.append(f"{tag}: not polarized at octahedron base {base}")
+        first = {}  # the first failed rhombus of each section, in order
+        for chart, rh in report.rhombus_violations:
+            first.setdefault(chart.name, rh)
+        failures += [f"{tag}: section {name} not DC "
+                     f"(kind {rh.kind} at {rh.anchor})"
+                     for name, rh in first.items()]
         w1 = extract_face(t, FaceChart.wall_x0(n))
         w2 = extract_face(t, FaceChart.wall_y0(n))
         if inverse_propagate(w1, w2) != t:

@@ -10,7 +10,9 @@ grid; every unit rhombus of that triangulation has one diagonal on a cutting
 line (the "cut" diagonal) and one off it (the "free" diagonal).  The 3D grid
 is cut by the four plane families x, y, z, x + y + z = const into unit
 simplices and unit octahedra.  Face charts identify 2D grids with triangular
-slices of the 3D grid so the same rhombus machinery serves both.
+slices of the 3D grid: the restriction of a 3D function along a chart is a
+hive, so faces and cutting-plane sections are checked for concavity by the
+2D rhombus scan of :func:`hives.hive.validate_dc`.
 """
 
 from __future__ import annotations
@@ -207,11 +209,3 @@ def cutting_sections(n: int, min_size: int = 0) -> list[FaceChart]:
     charts += [FaceChart.section_z(n, k) for k in range(n - min_size + 1)]
     charts += [FaceChart.section_sum(n, l) for l in range(min_size, n + 1)]
     return charts
-
-
-def section_rhombi_3d(n: int) -> list[tuple[FaceChart, UnitRhombus2D]]:
-    """All unit rhombi of all cutting-plane sections, paired with the chart
-    of the section they live in.  Sections of size < 2 carry no rhombi."""
-    return [(chart, rh)
-            for chart in cutting_sections(n, min_size=2)
-            for rh in unit_rhombi_2d(chart.size)]

@@ -52,23 +52,6 @@ def tetra_to_obj(t: TetraFunction) -> dict:
             "values": [[list(row) for row in layer] for layer in t.layers]}
 
 
-def tetra_from_obj(obj: Any) -> TetraFunction:
-    if not isinstance(obj, dict) or set(obj) != {"n", "values"}:
-        raise SchemaError("tetra: expected an object with keys 'n' and 'values'")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise SchemaError(f"tetra: 'n' must be a non-negative integer, got {n!r}")
-    layers = obj["values"]
-    if not isinstance(layers, list) or len(layers) != n + 1:
-        raise SchemaError("tetra: 'values' must be a list of n+1 layers")
-    rows = tuple(_rows(layer, f"tetra layer z={z}")
-                 for z, layer in enumerate(layers))
-    try:
-        return TetraFunction(rows)
-    except ValueError as exc:
-        raise SchemaError(f"tetra: {exc}") from exc
-
-
 def glued_pair_to_obj(p: GluedPair) -> dict:
     return {"f1": hive_to_obj(p.f1), "f2": hive_to_obj(p.f2)}
 

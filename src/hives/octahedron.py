@@ -28,18 +28,20 @@ part of its own row already filled:
 A polarized function whose restriction to every cutting-plane section is
 discretely concave is called PCPM here; propagation from DC ground and
 ceiling always lands in this class, which is the engine behind both
-bijections in :mod:`hives.bijections`.
+bijections in :mod:`hives.bijections`.  Each section is a hive of its face
+chart, so :func:`check_pcpm` checks it as one: :func:`extract_face`, then
+:func:`hives.hive.validate_dc`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    section_rhombi_3d, tri_points, unit_octahedra)
-from .hive import Hive
+                    cutting_sections, unit_octahedra)
+from .hive import Hive, validate_dc
 
 Rows = list[list[int]]
 
@@ -80,16 +82,6 @@ class TetraFunction:
     def __getitem__(self, point: TetraPoint) -> int:
         x, y, z = point
         return self.layers[z][y][x]
-
-    @classmethod
-    def build(cls, n: int, fn) -> "TetraFunction":
-        return cls(tuple(tuple(tuple(fn(x, y, z)
-                                     for x in range(n - z - y + 1))
-                               for y in range(n - z + 1))
-                         for z in range(n + 1)))
-
-    def shift(self, c: int) -> "TetraFunction":
-        return TetraFunction.build(self.n, lambda x, y, z: self[x, y, z] + c)
 
 
 def extract_face(t: TetraFunction, chart: FaceChart) -> Hive:
@@ -222,31 +214,12 @@ class PcpmReport:
         return not self.polarized_violations and not self.rhombus_violations
 
 
-def section_rhombus_violations(
-        n: int, value: Callable[[TetraPoint], int],
-        domain: Container[TetraPoint] | None = None,
-) -> list[tuple[FaceChart, UnitRhombus2D]]:
-    """The failed rhombus inequalities of all cutting-plane sections of the
-    size-n tetrahedron, in :func:`section_rhombi_3d` order.  Each section
-    point is looked up once with ``value``; given a ``domain``, points
-    outside it are not, and rhombi touching them are skipped."""
-    bad = []
-    current = None
-    for chart, rh in section_rhombi_3d(n):
-        if chart is not current:  # the pairs come grouped by chart
-            current = chart
-            points = ((ij, chart.point(*ij)) for ij in tri_points(chart.size))
-            s = {ij: value(p) for ij, p in points
-                 if domain is None or p in domain}
-        (c1, c2), (f1, f2) = rh.cut, rh.free
-        if domain is None or (c1 in s and c2 in s and f1 in s and f2 in s):
-            if s[c1] + s[c2] < s[f1] + s[f2]:
-                bad.append((chart, rh))
-    return bad
-
-
 def check_pcpm(t: TetraFunction) -> PcpmReport:
-    """Check polarization plus every rhombus inequality in every cutting
-    plane (all four section families)."""
+    """Check polarization, and discrete concavity of every cutting-plane
+    section (all four families) as a hive of its chart.  Rhombus violations
+    come in :func:`cutting_sections` order, then :func:`validate_dc` order
+    within a section."""
     return PcpmReport(tuple(check_polarized(t)),
-                      tuple(section_rhombus_violations(t.n, t.__getitem__)))
+                      tuple((chart, rh)
+                            for chart in cutting_sections(t.n, min_size=2)
+                            for rh in validate_dc(extract_face(t, chart))))

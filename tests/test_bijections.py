@@ -12,7 +12,7 @@ from hives.bijections import (GluedPair, WallPair, assoc_forward,
 from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
-from hives.grids import unit_octahedra
+from hives.grids import cutting_sections, unit_octahedra, unit_rhombi_2d
 from hives.hive import Hive, boundary, pad
 from hives.octahedron import polarization_slack
 from hives.tableaux import lr_coefficient, partitions_in_box
@@ -135,6 +135,32 @@ def test_assoc_bijection_n2_wide_lambda():
     assert (classes, pairs) == (101, 109)
 
 
+def test_assoc_bijection_exhaustive_n3():
+    """Every class of glued_universe(3, 2), whose lam cap 6 = 3 * max_part
+    is the largest lam_1 can reach: the forward map is a bijection onto the
+    wall pairs, and both round trips hold."""
+    classes = pairs = 0
+    for mu, pi, sigma, lam in glued_universe(3, 2):
+        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        target = enumerate_wall_pairs(mu, pi, sigma, lam)
+        assert len(domain) == len(target), (mu, pi, sigma, lam)
+        if not domain:
+            continue
+        classes += 1
+        pairs += len(domain)
+        images = []
+        for f1, f2 in domain:
+            w = assoc_forward(GluedPair(f1, f2))
+            assert assoc_inverse(w) == GluedPair(f1, f2)
+            images.append((w.w1, w.w2))
+        assert len(set(images)) == len(images)
+        assert set(images) == set(target)
+        for w1, w2 in target:
+            w = WallPair(w1, w2)
+            assert assoc_forward(assoc_inverse(w)) == w
+    assert (classes, pairs) == (2899, 3793)
+
+
 def test_commutor_singleton_n1():
     o = commutor(Hive(((0, 3), (1,))))
     assert o.rows == ((0, 3), (2,))
@@ -227,10 +253,12 @@ def test_diagnostics_report_a_bumped_point(monkeypatch):
 def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
     """Polarization is checked on the octahedra generated inside the
     half-octahedron; on 300 bumped functions it reports what filtering all
-    of unit_octahedra(2n) by membership reports, in the same order."""
+    of unit_octahedra(2n) by membership reports, in the same order.  The
+    section rhombi are those of a per-rhombus scan of every section of the
+    size-2n tetrahedron, kept when all four vertices are in the domain."""
     rng = random.Random(20240612)
     hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
-    checked = nonempty = 0
+    checked = nonempty = nonempty_rhombi = 0
     while checked < 300:
         h = rng.choice(hives)
         values = dict(half_octahedron_function(h))
@@ -241,11 +269,21 @@ def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
         want = tuple(oct for oct in unit_octahedra(2 * h.n)
                      if all(v in values for v in oct.vertices())
                      and polarization_slack(values, oct) != 0)
-        got = half_octahedron_diagnostics(h).polarization_violations
-        assert got == want, (h.rows, point)
+        want_rhombi = []
+        for chart in cutting_sections(2 * h.n, min_size=2):
+            for rh in unit_rhombi_2d(chart.size):
+                c1, c2, f1, f2 = (chart.point(*v) for v in rh.vertices())
+                if (all(v in values for v in (c1, c2, f1, f2))
+                        and values[c1] + values[c2]
+                        < values[f1] + values[f2]):
+                    want_rhombi.append((chart, rh))
+        diag = half_octahedron_diagnostics(h)
+        assert diag.polarization_violations == want, (h.rows, point)
+        assert list(diag.rhombus_violations) == want_rhombi, (h.rows, point)
         checked += 1
-        nonempty += bool(got)
-    assert nonempty >= 100
+        nonempty += bool(want)
+        nonempty_rhombi += bool(want_rhombi)
+    assert nonempty >= 100 and nonempty_rhombi >= 100
 
 
 def test_commutor_is_an_involution():

@@ -205,6 +205,28 @@ def test_selfcheck_fault_injection_fails(capsys):
     assert "selfcheck: FAIL" in capsys.readouterr().out
 
 
+def test_propagation_failures_name_the_octahedron_and_sections(monkeypatch,
+                                                               capsys):
+    """A propagated function that is not PCPM fails the suite with its
+    witnesses: the first octahedron off the rule and each non-DC section."""
+    real = checks.propagate
+    monkeypatch.setattr(checks, "propagate", lambda f1, f2: checks.bump(
+        real(f1, f2), (0, 0, 1), 1))
+    assert main(["selfcheck", "--max-n", "2", "--max-part", "0",
+                 "--random-cases", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "propagation: PCPM + sections + roundtrip + perturbation " \
+           "cases=1      FAIL" in out
+    tag = "glued((0, 0),(0, 0),(0, 0),(0, 0))#1"
+    lines = [line.strip() for line in out.splitlines()]
+    assert f"{tag}: not polarized at octahedron base (0, 0, 0)" in lines
+    assert f"{tag}: section x=0 not DC (kind III at (0, 0))" in lines
+    assert f"{tag}: section y=0 not DC (kind II at (0, 0))" in lines
+    assert not any("section z=" in line or "section x+y+z=" in line
+                   for line in lines)
+    assert out.endswith("selfcheck: FAIL\n")
+
+
 def test_canonical_output_byte_stable(tmp_path):
     path = write(tmp_path, "h.json", WORKED)
     outs = set()

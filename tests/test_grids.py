@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hives.grids import (FaceChart, cutting_sections, rhombus,
-                         section_rhombi_3d, tetra_points, tri_points,
-                         unit_octahedra, unit_rhombi_2d)
+from hives.grids import (FaceChart, cutting_sections, rhombus, tetra_points,
+                         tri_points, unit_octahedra, unit_rhombi_2d)
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (2, 6), (4, 15)])
@@ -67,16 +66,14 @@ def test_octahedron_counts_and_structure():
 
 
 def test_section_rhombi_counts():
-    assert section_rhombi_3d(1) == []
-    pairs = section_rhombi_3d(2)
-    assert len(pairs) == 12
-    assert sorted({c.name for c, _ in pairs}) == ["x+y+z=2", "x=0", "y=0", "z=0"]
-    charts3 = {c.name for c, _ in section_rhombi_3d(3)}
-    assert len(charts3) == 8  # two sections of size >= 2 per family
-    by_chart = {}
-    for c, _ in section_rhombi_3d(3):
-        by_chart[c.name] = by_chart.get(c.name, 0) + 1
-    assert set(by_chart.values()) <= {3, 9}
+    assert cutting_sections(1, min_size=2) == []
+    charts = cutting_sections(2, min_size=2)
+    assert sum(len(unit_rhombi_2d(c.size)) for c in charts) == 12
+    assert sorted(c.name for c in charts) == ["x+y+z=2", "x=0", "y=0", "z=0"]
+    by_chart = {c.name: len(unit_rhombi_2d(c.size))
+                for c in cutting_sections(3, min_size=2)}
+    assert len(by_chart) == 8  # two sections of size >= 2 per family
+    assert set(by_chart.values()) == {3, 9}
 
 
 @pytest.mark.parametrize("n", range(1, 5))

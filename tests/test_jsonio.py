@@ -5,9 +5,9 @@ from hives.bijections import GluedPair, assoc_forward
 from hives.hive import Hive
 from hives.jsonio import (SchemaError, dumps, glued_pair_from_obj,
                           glued_pair_to_obj, hive_from_obj, hive_to_obj,
-                          loads, tetra_from_obj, tetra_to_obj,
-                          wall_pair_from_obj, wall_pair_to_obj)
-from hives.octahedron import propagate
+                          loads, tetra_to_obj, wall_pair_from_obj,
+                          wall_pair_to_obj)
+from hives.octahedron import TetraFunction, propagate
 
 
 @st.composite
@@ -32,7 +32,7 @@ def test_canonical_is_byte_stable():
 def test_tetra_roundtrip():
     t = propagate(Hive(((0, 2, 2), (1, 2), (1,))),
                   Hive(((0, 1, 1), (1, 1), (1,))))
-    assert tetra_from_obj(loads(dumps(tetra_to_obj(t)))) == t
+    assert TetraFunction(loads(dumps(tetra_to_obj(t)))["values"]) == t
 
 
 def test_pair_roundtrips():
@@ -57,13 +57,6 @@ def test_pair_roundtrips():
 def test_hive_schema_errors(obj):
     with pytest.raises(SchemaError):
         hive_from_obj(obj)
-
-
-def test_tetra_schema_errors():
-    with pytest.raises(SchemaError):
-        tetra_from_obj({"n": 1, "values": [[[0, 0], [0]]]})
-    with pytest.raises(SchemaError):
-        tetra_from_obj({"n": 0, "values": [[[0, 0]]]})
 
 
 def test_loads_rejects_garbage():

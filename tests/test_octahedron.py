@@ -1,15 +1,32 @@
+import random
+
 import pytest
 
-from hives.checks import bump, glued_universe, interior_points
-from hives.enumeration import enumerate_glued_pairs
-from hives.grids import FaceChart, tetra_points, unit_octahedra
-from hives.hive import Hive, validate_dc
+from hives.checks import (SELFCHECK_SEED, bump, glued_universe,
+                          interior_points, random_glued_pairs)
+from hives.enumeration import enumerate_glued_pairs, enumerate_hives
+from hives.grids import (FaceChart, cutting_sections, tetra_points,
+                         unit_octahedra, unit_rhombi_2d)
+from hives.hive import Hive, boundary, p_mu, pad, validate_dc
 from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
                               extract_face, inverse_propagate,
                               polarization_slack, propagate)
+from hives.tableaux import partitions_in_box
 
 GROUND = Hive(((0, 2, 2), (1, 2), (1,)))
 CEILING = Hive(((0, 1, 1), (1, 1), (1,)))
+
+
+def tetra(n: int, fn) -> TetraFunction:
+    """The function (x, y, z) -> fn(x, y, z) on the grid of size n."""
+    return TetraFunction(tuple(tuple(tuple(fn(x, y, z)
+                                           for x in range(n - z - y + 1))
+                                     for y in range(n - z + 1))
+                               for z in range(n + 1)))
+
+
+def shifted(t: TetraFunction, c: int) -> TetraFunction:
+    return tetra(t.n, lambda x, y, z: t[x, y, z] + c)
 
 
 def worked_tetra() -> TetraFunction:
@@ -24,7 +41,7 @@ def universe_tetras(max_entry=2):
 
 
 def test_tetra_function_shape():
-    t = TetraFunction.build(2, lambda x, y, z: x + 2 * y + 4 * z)
+    t = tetra(2, lambda x, y, z: x + 2 * y + 4 * z)
     assert t.n == 2 and t[1, 1, 0] == 3 and t[0, 0, 2] == 8
     with pytest.raises(ValueError):
         TetraFunction((((0, 0),), ((0,),)))  # rows of layer z=0 are too short
@@ -63,7 +80,7 @@ def test_propagate_worked_example():
 
 
 def test_propagate_zero():
-    assert propagate(Hive.zero(3), Hive.zero(3)) == TetraFunction.build(
+    assert propagate(Hive.zero(3), Hive.zero(3)) == tetra(
         3, lambda x, y, z: 0)
 
 
@@ -90,7 +107,7 @@ def test_inverse_propagate_rejects_mismatch():
 
 def test_check_pcpm_worked():
     assert check_pcpm(worked_tetra()).ok()
-    assert check_pcpm(TetraFunction.build(2, lambda *p: 0)).ok()
+    assert check_pcpm(tetra(2, lambda *p: 0)).ok()
 
 
 def test_pcpm_reports_non_dc_ground():
@@ -108,10 +125,67 @@ def test_pcpm_reports_non_dc_ground():
 
 def test_equivariance_constant_shift():
     t = worked_tetra()
-    assert propagate(GROUND.shift(5), CEILING.shift(5)) == t.shift(5)
+    assert propagate(GROUND.shift(5), CEILING.shift(5)) == shifted(t, 5)
     # the ceiling is re-anchored along the shared edge, so only the ground's
     # constant matters
-    assert propagate(GROUND.shift(5), CEILING.shift(-3)) == t.shift(5)
+    assert propagate(GROUND.shift(5), CEILING.shift(-3)) == shifted(t, 5)
+
+
+def section_rhombus_reference(t: TetraFunction) -> list:
+    """The failed rhombi of every cutting-plane section, one rhombus at a
+    time through the chart's point map."""
+    bad = []
+    for chart in cutting_sections(t.n, min_size=2):
+        for rh in unit_rhombi_2d(chart.size):
+            (c1, c2), (f1, f2) = rh.cut, rh.free
+            if (t[chart.point(*c1)] + t[chart.point(*c2)]
+                    < t[chart.point(*f1)] + t[chart.point(*f2)]):
+                bad.append((chart, rh))
+    return bad
+
+
+def random_pcpm_function(rng: random.Random, n: int) -> TetraFunction:
+    """The propagation of a random DC ground of size n (boundary entries
+    <= 2, 2, 4) under the separable ceiling that glues to it."""
+    def partition():
+        return tuple(sorted((rng.randint(0, 2) for _ in range(n)),
+                            reverse=True))
+    while True:
+        mu, nu = partition(), partition()
+        lam = pad(rng.choice(partitions_in_box(sum(mu) + sum(nu), n, 4)), n)
+        grounds = enumerate_hives(mu, nu, lam)
+        if grounds:
+            ground = rng.choice(grounds)
+            return propagate(ground, p_mu(boundary(ground).hyp))
+
+
+def test_check_pcpm_rhombi_match_the_per_rhombus_reference():
+    """check_pcpm reads each section as a hive; it reports exactly the
+    failed rhombi of the per-rhombus scan, in the same order, on every
+    function the selfcheck propagation suite builds and on bumped
+    functions of sizes 2..5 and 12."""
+    pairs = [pair for mu, pi, sigma, lam in glued_universe(2, 2)
+             for pair in enumerate_glued_pairs(mu, lam, pi, sigma)]
+    pairs += random_glued_pairs(SELFCHECK_SEED, 200)
+    assert len(pairs) == 479
+    for f1, f2 in pairs:
+        t = propagate(f1, f2)
+        assert list(check_pcpm(t).rhombus_violations) == \
+            section_rhombus_reference(t) == []
+
+    rng = random.Random(20240818)
+    bumped = [bump(random_pcpm_function(rng, 2 + k % 4),
+                   rng.choice(tetra_points(2 + k % 4)),
+                   rng.choice((-2, -1, 1, 2)))
+              for k in range(320)]
+    staircase = p_mu(tuple(range(12, 0, -1)))
+    bumped.append(bump(propagate(staircase, staircase), (3, 4, 2), 1))
+    nonempty = 0
+    for t in bumped:
+        got = list(check_pcpm(t).rhombus_violations)
+        assert got == section_rhombus_reference(t)
+        nonempty += bool(got)
+    assert nonempty >= 100 and got
 
 
 def test_section_z_top_is_single_point():
