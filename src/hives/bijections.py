@@ -22,6 +22,10 @@ which degenerates the rule to the equality of the two surviving diagonal
 sums.  The z = n face, read from the apex, is a hive in DC(nu, mu; lam),
 and h -> commutor(h) is injective with equal counts on both sides: the
 commutativity bijection.
+
+The half-octahedron is filled as rows layers[z][y][x]; the commutor and its
+diagnostics read these rows, and :func:`half_octahedron_function` is their
+point -> value view.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     cutting_sections, tri_points, unit_rhombi_2d)
 from .hive import (Hive, boundary, prefix_sums,
                    require_dc_partition_boundary, validate_dc)
-from .octahedron import (_solve_row_forward, extract_face, inverse_propagate,
-                         polarization_slack, propagate)
+from .octahedron import (_solve_row_forward, _unpolarized, extract_face,
+                         inverse_propagate, propagate)
 
 
 @dataclass(frozen=True)
@@ -144,12 +148,8 @@ def half_octahedron_function(h: Hive) -> dict[TetraPoint, int]:
     The ceiling face (x + y + z = 2n) carries h via (x, y, z) ->
     h(n - y, n - z), so the apex YZ = (0, n, n) takes h's origin value and
     the corners XY, XZ take the values at h's corners Y, X.  The y = n face
-    carries the separable hive of mu = left(h).  Filling proceeds level by
-    level in z, within a level by descending y, then x; each new point is
-    the OZ vertex of an octahedron whose other vertices are known, except
-    on the square base y + z = n where the OX vertex falls outside the
-    half-octahedron and the rule degenerates to the equality of the two
-    remaining diagonal sums.
+    carries the separable hive of mu = left(h).  It is filled as rows by
+    :func:`_half_octahedron_layers`.
     """
     n = h.n
     return {(x, y, z): v
@@ -174,15 +174,17 @@ def commutor(h: Hive) -> Hive:
 
 @dataclass(frozen=True)
 class CommutorDiagnostics:
-    """Test evidence for the half-octahedron construction.
+    """Test evidence for the half-octahedron construction, read off its rows
+    in the coordinates of the size-2n tetrahedron.
 
     rhombus_violations: failed rhombus inequalities among the cutting-plane
     rhombi whose four vertices lie in the half-octahedron (this is the
     discrete-concavity content of the construction).
     polarization_violations: octahedra fully inside the half-octahedron
-    where the propagation rule fails.
+    where the propagation rule fails, in unit_octahedra(2n) order.
     square_violations: base cells of the square face y + z = n whose two
-    antipodal vertex sums differ (separability of the base).
+    antipodal vertex sums differ (separability of the base), named by their
+    corner (x, y, n - y).
     pmu_face_mismatch / pnu_wall_mismatch: points where the y = n face
     differs from the separable hive of mu, and where the x = 0 wall face
     differs from the separable profile of nu (values S^nu_{n-y} up to a
@@ -201,16 +203,20 @@ class CommutorDiagnostics:
                     or self.pnu_wall_mismatch)
 
 
-def _section_rhombus_violations(
-        n: int, values: dict[TetraPoint, int],
-) -> list[tuple[FaceChart, UnitRhombus2D]]:
+def _section_rhombus_violations(layers: list[list[list[int] | None]]
+                                ) -> list[tuple[FaceChart, UnitRhombus2D]]:
     """The failed rhombus inequalities of the cutting-plane sections of the
-    size-n tetrahedron among the rhombi with all four vertices in values,
-    in :func:`cutting_sections` order, then :func:`unit_rhombi_2d` order."""
+    size-2n tetrahedron among the rhombi with all four vertices in the
+    half-octahedron of :func:`_half_octahedron_layers`, in
+    :func:`cutting_sections` order, then :func:`unit_rhombi_2d` order."""
+    n = len(layers) - 1
     bad = []
-    for chart in cutting_sections(n, min_size=2):
-        points = ((ij, chart.point(*ij)) for ij in tri_points(chart.size))
-        s = {ij: values[p] for ij, p in points if p in values}
+    for chart in cutting_sections(2 * n, min_size=2):
+        s = {}
+        for i, j in tri_points(chart.size):
+            x, y, z = chart.point(i, j)
+            if z <= n and y <= n and y + z >= n:
+                s[i, j] = layers[z][y][x]
         for rh in unit_rhombi_2d(chart.size):
             (c1, c2), (f1, f2) = rh.cut, rh.free
             if (c1 in s and c2 in s and f1 in s and f2 in s
@@ -223,36 +229,26 @@ def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
     """Check every structural claim behind :func:`commutor` on one input."""
     n = h.n
     b = boundary(h)
-    values = half_octahedron_function(h)
-
-    rhombus_bad = _section_rhombus_violations(2 * n, values)
-    # The octahedra with all six vertices inside: bases with y, z <= n - 1,
-    # y + z >= n and x + y + z <= 2n - 2, in unit_octahedra(2n) order.
-    polar_bad = [oct for oct in (UnitOctahedron((x, y, z))
-                                 for z in range(n)
-                                 for y in range(n - z, n)
-                                 for x in range(2 * n - 1 - y - z))
-                 if polarization_slack(values, oct) != 0]
+    layers = _half_octahedron_layers(h)
 
     square_bad = []
     for y in range(n):
-        for x in range(n):
-            a = values[(x, y, n - y)] + values[(x + 1, y + 1, n - y - 1)]
-            d = values[(x + 1, y, n - y)] + values[(x, y + 1, n - y - 1)]
-            if a != d:
-                square_bad.append((x, y, n - y))
+        low, high = layers[n - y][y], layers[n - y - 1][y + 1]
+        square_bad += [(x, y, n - y) for x in range(n)
+                       if low[x] + high[x + 1] != low[x + 1] + high[x]]
 
     smu = prefix_sums(b.left)
     pmu_bad = [(x, n, z)
                for z in range(n + 1) for x in range(n - z + 1)
-               if values[(x, n, z)] != smu[x]]
+               if layers[z][n][x] != smu[x]]
 
     snu = prefix_sums(b.hyp)
-    shift = values[(0, n, n)] - snu[0]
+    shift = layers[n][n][0] - snu[0]
     pnu_bad = [(0, y, z)
                for y in range(n + 1) for z in range(n - y, n + 1)
-               if values[(0, y, z)] != snu[n - y] + shift]
+               if layers[z][y][0] != snu[n - y] + shift]
 
-    return CommutorDiagnostics(tuple(rhombus_bad), tuple(polar_bad),
+    return CommutorDiagnostics(tuple(_section_rhombus_violations(layers)),
+                               tuple(_unpolarized(layers)),
                                tuple(square_bad), tuple(pmu_bad),
                                tuple(pnu_bad))

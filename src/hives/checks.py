@@ -14,8 +14,9 @@ from functools import partial, wraps
 from itertools import product
 from typing import Callable, Iterator
 
-from .bijections import (GluedPair, WallPair, assoc_forward, assoc_inverse,
-                         commutor, half_octahedron_diagnostics)
+from .bijections import (CommutorDiagnostics, GluedPair, WallPair,
+                         assoc_forward, assoc_inverse, commutor,
+                         half_octahedron_diagnostics)
 from .enumeration import (brute_force_count, count_hives,
                           enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
@@ -223,10 +224,26 @@ def associativity(max_part: int) -> SuiteResult:
     return cases, failures
 
 
+def _diagnostics_witness(d: CommutorDiagnostics) -> str:
+    """The first witness of the first failing half-octahedron check."""
+    if d.rhombus_violations:
+        chart, rh = d.rhombus_violations[0]
+        return f"section {chart.name} not DC (kind {rh.kind} at {rh.anchor})"
+    if d.polarization_violations:
+        base = d.polarization_violations[0].base
+        return f"not polarized at octahedron base {base}"
+    if d.square_violations:
+        return f"square base not separable at cell {d.square_violations[0]}"
+    if d.pmu_face_mismatch:
+        return f"y = n face differs from p_mu at {d.pmu_face_mismatch[0]}"
+    return f"x = 0 wall differs from p_nu at {d.pnu_wall_mismatch[0]}"
+
+
 @_suite
 def commutativity(max_part: int) -> SuiteResult:
     """Commutor bijectivity and half-octahedron diagnostics over
-    commutor_triples."""
+    commutor_triples.  A diagnostics failure names the first witness of
+    its first failing check."""
     failures: list[str] = []
     cases = 0
     for mu, nu, lam in commutor_triples(min(2, max_part)):
@@ -243,8 +260,10 @@ def commutativity(max_part: int) -> SuiteResult:
             outs.add(o)
             if o not in target:
                 failures.append(f"commutor output leaves DC({nu},{mu};{lam})")
-            if not half_octahedron_diagnostics(h).ok():
-                failures.append(f"diagnostics failed at ({mu},{nu},{lam})")
+            diag = half_octahedron_diagnostics(h)
+            if not diag.ok():
+                failures.append(f"diagnostics failed at ({mu},{nu},{lam}): "
+                                f"{_diagnostics_witness(diag)}")
         if len(outs) != len(hs):
             failures.append(f"commutor not injective at ({mu},{nu},{lam})")
     return cases, failures

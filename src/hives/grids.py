@@ -66,45 +66,20 @@ def rhombus(kind: str, i: int, j: int) -> UnitRhombus2D:
 class UnitOctahedron:
     """The unit octahedron whose lowest corner-adjacent vertex is ``base``.
 
-    Vertices are addressed by the tetrahedron edge they are parallel to:
-    for base t the six vertices are t + e where e runs over the six 0/1
-    vectors with exactly one or exactly two ones.  Antipodal pairs are
-    (OX, YZ), (OY, XZ), (OZ, XY); the (OZ, XY) diagonal, parallel to
-    (1, 1, -1), is the main diagonal.
+    For base t the six vertices are t + e where e runs over the six 0/1
+    vectors with exactly one or exactly two ones; each is named by the
+    tetrahedron edge it is parallel to.  Antipodal pairs are (OX, YZ),
+    (OY, XZ), (OZ, XY); the (OZ, XY) diagonal, parallel to (1, 1, -1), is
+    the main diagonal.
     """
 
     base: TetraPoint
 
-    def _v(self, dx: int, dy: int, dz: int) -> TetraPoint:
-        x, y, z = self.base
-        return (x + dx, y + dy, z + dz)
-
-    @property
-    def ox(self) -> TetraPoint:
-        return self._v(1, 0, 0)
-
-    @property
-    def oy(self) -> TetraPoint:
-        return self._v(0, 1, 0)
-
-    @property
-    def oz(self) -> TetraPoint:
-        return self._v(0, 0, 1)
-
-    @property
-    def xy(self) -> TetraPoint:
-        return self._v(1, 1, 0)
-
-    @property
-    def xz(self) -> TetraPoint:
-        return self._v(1, 0, 1)
-
-    @property
-    def yz(self) -> TetraPoint:
-        return self._v(0, 1, 1)
-
     def vertices(self) -> tuple[TetraPoint, ...]:
-        return (self.ox, self.oy, self.oz, self.xy, self.xz, self.yz)
+        """The six vertices in the order OX, OY, OZ, XY, XZ, YZ."""
+        x, y, z = self.base
+        return ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1),
+                (x + 1, y + 1, z), (x + 1, y, z + 1), (x, y + 1, z + 1))
 
 
 @dataclass(frozen=True)
@@ -124,9 +99,6 @@ class FaceChart:
         ax, ay, az = self.e1
         bx, by, bz = self.e2
         return (ox + i * ax + j * bx, oy + i * ay + j * by, oz + i * az + j * bz)
-
-    def points(self) -> list[TetraPoint]:
-        return [self.point(i, j) for (i, j) in tri_points(self.size)]
 
     @classmethod
     def ground(cls, n: int) -> "FaceChart":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .grids import UnitRhombus2D, rhombus, tri_points
+from .grids import UnitRhombus2D, rhombus
 
 Partition = tuple[int, ...]
 IncrementTuple = tuple[int, ...]
@@ -88,10 +88,6 @@ class Hive:
 
     def is_normalized(self) -> bool:
         return self[0, 0] == 0
-
-    def values_in_order(self) -> tuple[int, ...]:
-        """Values listed in canonical point order; the sort key for hive sets."""
-        return tuple(self[p] for p in tri_points(self.n))
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,18 @@ discretely concave is called PCPM here; propagation from DC ground and
 ceiling always lands in this class, which is the engine behind both
 bijections in :mod:`hives.bijections`.  Each section is a hive of its face
 chart, so :func:`check_pcpm` checks it as one: :func:`extract_face`, then
-:func:`hives.hive.validate_dc`.
+:func:`hives.hive.validate_dc`.  :func:`check_polarized` scans the rows for
+the rule, a scan the commutor diagnostics share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    cutting_sections, unit_octahedra)
+                    cutting_sections)
 from .hive import Hive, validate_dc
 
 Rows = list[list[int]]
@@ -190,17 +191,31 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
     return TetraFunction(layers)
 
 
-def polarization_slack(t: TetraFunction | Mapping[TetraPoint, int],
-                       oct: UnitOctahedron) -> int:
-    """Main-diagonal sum minus the max of the other two; zero iff polarized
-    at this octahedron.  t may be any point -> value mapping."""
-    main = t[oct.oz] + t[oct.xy]
-    return main - max(t[oct.ox] + t[oct.yz], t[oct.oy] + t[oct.xz])
+def _unpolarized(layers: Sequence[Sequence[Sequence[int] | None]]
+                 ) -> list[UnitOctahedron]:
+    """The unit octahedra off the propagation rule, in unit_octahedra order,
+    each read off rows y and y + 1 of levels z and z + 1 for its base
+    (x, y, z).  Base rows that are None are skipped and x runs over
+    len(layers[z + 1][y + 1]), so half-octahedron rows scan too."""
+    bad = []
+    for z in range(len(layers) - 1):
+        level, above = layers[z], layers[z + 1]
+        for y in range(len(above) - 1):
+            row = level[y]
+            if row is None:
+                continue
+            north, up, up_north = level[y + 1], above[y], above[y + 1]
+            for x in range(len(up_north)):
+                ox_yz = row[x + 1] + up_north[x]
+                oy_xz = north[x] + up[x + 1]
+                if up[x] + north[x + 1] != (ox_yz if ox_yz > oy_xz else oy_xz):
+                    bad.append(UnitOctahedron((x, y, z)))
+    return bad
 
 
 def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:
     """All unit octahedra where the propagation rule fails."""
-    return [oct for oct in unit_octahedra(t.n) if polarization_slack(t, oct) != 0]
+    return _unpolarized(t.layers)
 
 
 @dataclass(frozen=True)

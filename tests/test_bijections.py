@@ -13,8 +13,7 @@ from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.grids import cutting_sections, unit_octahedra, unit_rhombi_2d
-from hives.hive import Hive, boundary, pad
-from hives.octahedron import polarization_slack
+from hives.hive import Hive, boundary, pad, prefix_sums
 from hives.tableaux import lr_coefficient, partitions_in_box
 
 
@@ -235,14 +234,20 @@ def test_diagnostics_clean_on_universe():
             assert diag.ok(), (mu, nu, lam, h.rows, diag)
 
 
+def polarization_slack(values: dict, oct) -> int:
+    """Main-diagonal sum minus the max of the other two at oct."""
+    ox, oy, oz, xy, xz, yz = (values[v] for v in oct.vertices())
+    return oz + xy - max(ox + yz, oy + xz)
+
+
 def test_diagnostics_report_a_bumped_point(monkeypatch):
     """Raising one value off every checked face breaks concavity and
     polarization, and nothing else."""
     h = enumerate_hives((2, 1, 0), (2, 1, 0), (3, 2, 1))[0]
-    values = dict(half_octahedron_function(h))
-    values[(1, 2, 2)] += 1
-    monkeypatch.setattr(bijections, "half_octahedron_function",
-                        lambda _: values)
+    layers = bijections._half_octahedron_layers(h)
+    layers[2][2][1] += 1  # the point (1, 2, 2)
+    monkeypatch.setattr(bijections, "_half_octahedron_layers",
+                        lambda _: layers)
     d = half_octahedron_diagnostics(h)
     assert d.rhombus_violations and d.polarization_violations
     assert all((1, 2, 2) in oct.vertices() for oct in d.polarization_violations)
@@ -251,21 +256,28 @@ def test_diagnostics_report_a_bumped_point(monkeypatch):
 
 
 def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
-    """Polarization is checked on the octahedra generated inside the
-    half-octahedron; on 300 bumped functions it reports what filtering all
-    of unit_octahedra(2n) by membership reports, in the same order.  The
-    section rhombi are those of a per-rhombus scan of every section of the
-    size-2n tetrahedron, kept when all four vertices are in the domain."""
+    """The diagnostics read the half-octahedron rows; on 300 bumped
+    functions they report what the point -> value dict reports.  The
+    octahedra are those of unit_octahedra(2n) with all six vertices in the
+    domain, in the same order; the section rhombi are those of a
+    per-rhombus scan of every section of the size-2n tetrahedron, kept when
+    all four vertices are in the domain; the square cells and the p_mu face
+    and p_nu wall points are read point by point."""
     rng = random.Random(20240612)
     hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
-    checked = nonempty = nonempty_rhombi = 0
+    checked = nonempty = nonempty_rhombi = nonempty_faces = 0
     while checked < 300:
         h = rng.choice(hives)
         values = dict(half_octahedron_function(h))
         point = rng.choice(sorted(values))
         values[point] += rng.choice((-1, 1))
-        monkeypatch.setattr(bijections, "half_octahedron_function",
-                            lambda _: values)
+        layers = bijections._half_octahedron_layers(h)
+        x, y, z = point
+        layers[z][y][x] = values[point]
+        with monkeypatch.context() as m:
+            m.setattr(bijections, "_half_octahedron_layers", lambda _: layers)
+            assert half_octahedron_function(h) == values
+            diag = half_octahedron_diagnostics(h)
         want = tuple(oct for oct in unit_octahedra(2 * h.n)
                      if all(v in values for v in oct.vertices())
                      and polarization_slack(values, oct) != 0)
@@ -277,13 +289,27 @@ def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
                         and values[c1] + values[c2]
                         < values[f1] + values[f2]):
                     want_rhombi.append((chart, rh))
-        diag = half_octahedron_diagnostics(h)
+        n, b = h.n, boundary(h)
+        smu, snu = prefix_sums(b.left), prefix_sums(b.hyp)
+        shift = values[0, n, n] - snu[0]
+        want_square = tuple((x, y, n - y) for y in range(n) for x in range(n)
+                            if values[x, y, n - y] + values[x + 1, y + 1, n - y - 1]
+                            != values[x + 1, y, n - y] + values[x, y + 1, n - y - 1])
+        want_pmu = tuple((x, n, z) for z in range(n + 1)
+                         for x in range(n - z + 1) if values[x, n, z] != smu[x])
+        want_pnu = tuple((0, y, z) for y in range(n + 1)
+                         for z in range(n - y, n + 1)
+                         if values[0, y, z] != snu[n - y] + shift)
         assert diag.polarization_violations == want, (h.rows, point)
         assert list(diag.rhombus_violations) == want_rhombi, (h.rows, point)
+        assert diag.square_violations == want_square, (h.rows, point)
+        assert diag.pmu_face_mismatch == want_pmu, (h.rows, point)
+        assert diag.pnu_wall_mismatch == want_pnu, (h.rows, point)
         checked += 1
         nonempty += bool(want)
         nonempty_rhombi += bool(want_rhombi)
-    assert nonempty >= 100 and nonempty_rhombi >= 100
+        nonempty_faces += bool(want_square or want_pmu or want_pnu)
+    assert nonempty >= 100 and nonempty_rhombi >= 100 and nonempty_faces >= 100
 
 
 def test_commutor_is_an_involution():

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from hives import checks
+from hives import bijections, checks
+from hives.bijections import CommutorDiagnostics
 from hives.cli import main
 from hives.jsonio import dumps, hive_to_obj
 from hives.hive import Hive
@@ -225,6 +226,50 @@ def test_propagation_failures_name_the_octahedron_and_sections(monkeypatch,
     assert not any("section z=" in line or "section x+y+z=" in line
                    for line in lines)
     assert out.endswith("selfcheck: FAIL\n")
+
+
+def test_commutor_diagnostics_failures_name_their_witness(monkeypatch,
+                                                          capsys):
+    """A half-octahedron function off the rule below the top level leaves
+    the commutor as it is and fails the suite with the first witness of the
+    first failing check: an octahedron base at n = 2, a section rhombus at
+    n = 3."""
+    real = bijections._half_octahedron_layers
+
+    def bumped(h):
+        layers = real(h)
+        layers[h.n - 1][h.n - 1][1] += 1  # the point (1, n - 1, n - 1)
+        return layers
+    monkeypatch.setattr(bijections, "_half_octahedron_layers", bumped)
+    assert main(["selfcheck", "--max-n", "2", "--max-part", "0",
+                 "--random-cases", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "commutor bijection + diagnostics" in out and "FAIL (3)" in out
+    lines = [line.strip() for line in out.splitlines()]
+    assert ("diagnostics failed at ((0, 0),(0, 0),(0, 0)): "
+            "not polarized at octahedron base (0, 1, 1)") in lines
+    assert ("diagnostics failed at ((2, 1, 0),(2, 1, 0),(3, 2, 1)): "
+            "section x=1 not DC (kind II at (0, 2))") in lines
+    assert out.endswith("selfcheck: FAIL\n")
+
+
+@pytest.mark.parametrize("fields, witness", [
+    (((), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0),), ()),
+     "square base not separable at cell (0, 1, 1)"),
+    (((), (), ((1, 2, 0),), ()),
+     "y = n face differs from p_mu at (1, 2, 0)"),
+    (((), (), (), ((0, 1, 2),)),
+     "x = 0 wall differs from p_nu at (0, 1, 2)"),
+])
+def test_diagnostics_witness_of_the_face_checks(fields, witness, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(checks, "half_octahedron_diagnostics",
+                        lambda h: CommutorDiagnostics((), *fields))
+    assert main(["selfcheck", "--max-n", "2", "--max-part", "0",
+                 "--random-cases", "0"]) == 1
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert ("diagnostics failed at ((0, 0),(0, 0),(0, 0)): "
+            f"{witness}") in lines
 
 
 def test_canonical_output_byte_stable(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hives.checks import triple_universe
 from hives.enumeration import enumerate_hives
-from hives.grids import unit_rhombi_2d
+from hives.grids import tri_points, unit_rhombi_2d
 from hives.hive import (Hive, boundary, p_mu, prefix_sums, rhombus_slack,
                         validate_dc)
 
@@ -24,7 +24,7 @@ def test_hive_shape_validation():
         Hive(((0, 1), (2, 3)))
     h = Hive.build(2, lambda i, j: i + j)
     assert h[2, 0] == 2 and h[0, 2] == 2
-    assert h.values_in_order() == (0, 1, 2, 1, 2, 2)
+    assert tuple(h[p] for p in tri_points(2)) == (0, 1, 2, 1, 2, 2)
 
 
 @pytest.mark.parametrize("rows", [

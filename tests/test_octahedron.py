@@ -7,10 +7,9 @@ from hives.checks import (SELFCHECK_SEED, bump, glued_universe,
 from hives.enumeration import enumerate_glued_pairs, enumerate_hives
 from hives.grids import (FaceChart, cutting_sections, tetra_points,
                          unit_octahedra, unit_rhombi_2d)
-from hives.hive import Hive, boundary, p_mu, pad, validate_dc
+from hives.hive import Hive, boundary, p_mu, pad
 from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
-                              extract_face, inverse_propagate,
-                              polarization_slack, propagate)
+                              extract_face, inverse_propagate, propagate)
 from hives.tableaux import partitions_in_box
 
 GROUND = Hive(((0, 2, 2), (1, 2), (1,)))
@@ -60,9 +59,9 @@ def test_tetra_function_rejects_non_integer_entries_and_empty_layers(layers):
 def test_octahedron_rule_direct():
     # values OX=2, YZ=1, OY=1, XZ=1, XY=1 give OZ = max(2+1, 1+1) - 1 = 2
     t = TetraFunction((((0, 2, 0), (1, 1), (0,)), ((2, 1), (1,)), ((0,),)))
-    oct = unit_octahedra(2)[0]
-    assert t[oct.ox] == 2 and t[oct.oz] == 2
-    assert polarization_slack(t, oct) == 0
+    ox, oy, oz, xy, xz, yz = unit_octahedra(2)[0].vertices()
+    assert t[ox] == 2 and t[oz] == 2
+    assert t[oz] + t[xy] == max(t[ox] + t[yz], t[oy] + t[xz])
     assert check_polarized(t) == []
     bumped = TetraFunction((((0, 2, 0), (1, 1), (0,)), ((3, 1), (1,)), ((0,),)))
     assert [o.base for o in check_polarized(bumped)] == [(0, 0, 0)]
@@ -144,6 +143,19 @@ def section_rhombus_reference(t: TetraFunction) -> list:
     return bad
 
 
+def polarization_reference(t: TetraFunction) -> list:
+    """The octahedra off the rule, each read through the six vertices of
+    its base (x, y, z)."""
+    bad = []
+    for oct in unit_octahedra(t.n):
+        x, y, z = oct.base
+        main = t[x, y, z + 1] + t[x + 1, y + 1, z]          # OZ + XY
+        if main != max(t[x + 1, y, z] + t[x, y + 1, z + 1],  # OX + YZ
+                       t[x, y + 1, z] + t[x + 1, y, z + 1]):  # OY + XZ
+            bad.append(oct)
+    return bad
+
+
 def random_pcpm_function(rng: random.Random, n: int) -> TetraFunction:
     """The propagation of a random DC ground of size n (boundary entries
     <= 2, 2, 4) under the separable ceiling that glues to it."""
@@ -160,8 +172,9 @@ def random_pcpm_function(rng: random.Random, n: int) -> TetraFunction:
 
 
 def test_check_pcpm_rhombi_match_the_per_rhombus_reference():
-    """check_pcpm reads each section as a hive; it reports exactly the
-    failed rhombi of the per-rhombus scan, in the same order, on every
+    """check_pcpm reads each section as a hive and scans the octahedra on
+    rows; it reports exactly the failed rhombi of the per-rhombus scan and
+    the octahedra of the per-octahedron scan, in the same order, on every
     function the selfcheck propagation suite builds and on bumped
     functions of sizes 2..5 and 12."""
     pairs = [pair for mu, pi, sigma, lam in glued_universe(2, 2)
@@ -170,8 +183,11 @@ def test_check_pcpm_rhombi_match_the_per_rhombus_reference():
     assert len(pairs) == 479
     for f1, f2 in pairs:
         t = propagate(f1, f2)
-        assert list(check_pcpm(t).rhombus_violations) == \
+        report = check_pcpm(t)
+        assert list(report.rhombus_violations) == \
             section_rhombus_reference(t) == []
+        assert list(report.polarized_violations) == \
+            polarization_reference(t) == []
 
     rng = random.Random(20240818)
     bumped = [bump(random_pcpm_function(rng, 2 + k % 4),
@@ -180,12 +196,17 @@ def test_check_pcpm_rhombi_match_the_per_rhombus_reference():
               for k in range(320)]
     staircase = p_mu(tuple(range(12, 0, -1)))
     bumped.append(bump(propagate(staircase, staircase), (3, 4, 2), 1))
-    nonempty = 0
+    nonempty = nonempty_octahedra = 0
     for t in bumped:
-        got = list(check_pcpm(t).rhombus_violations)
+        report = check_pcpm(t)
+        got = list(report.rhombus_violations)
         assert got == section_rhombus_reference(t)
+        octahedra = list(report.polarized_violations)
+        assert octahedra == polarization_reference(t)
         nonempty += bool(got)
+        nonempty_octahedra += bool(octahedra)
     assert nonempty >= 100 and got
+    assert nonempty_octahedra >= 100 and octahedra
 
 
 def test_section_z_top_is_single_point():
@@ -204,10 +225,6 @@ def test_propagation_is_pcpm_exhaustive_small():
     assert len(tetras) > 200
     for t in tetras:
         assert check_pcpm(t).ok()
-        n = t.n
-        for k in range(n + 1):
-            assert not validate_dc(extract_face(t, FaceChart.section_z(n, k)))
-            assert not validate_dc(extract_face(t, FaceChart.section_sum(n, k)))
 
 
 def test_roundtrip_and_uniqueness_over_universe():
