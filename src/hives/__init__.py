@@ -6,7 +6,7 @@ from .grids import (FaceChart, UnitOctahedron, UnitRhombus2D, rhombus,
                     unit_octahedra, unit_rhombi_2d)
 from .hive import (BoundaryTriple, Hive, boundary, is_partition, p_mu,
                    validate_dc)
-from .tableaux import SkewShape, lr_coefficient, schur_product
+from .tableaux import lr_coefficient, schur_product
 from .enumeration import (brute_force_count, count_glued_pairs, count_hives,
                           count_wall_pairs, enumerate_glued_pairs,
                           enumerate_hives, enumerate_wall_pairs)
@@ -24,7 +24,7 @@ __all__ = [
     "unit_rhombi_2d",
     "BoundaryTriple", "Hive", "boundary", "is_partition", "p_mu",
     "validate_dc",
-    "SkewShape", "lr_coefficient", "schur_product",
+    "lr_coefficient", "schur_product",
     "brute_force_count", "count_glued_pairs", "count_hives",
     "count_wall_pairs", "enumerate_glued_pairs", "enumerate_hives",
     "enumerate_wall_pairs",

@@ -25,7 +25,9 @@ commutativity bijection.
 
 The half-octahedron is filled as rows layers[z][y][x]; the commutor and its
 diagnostics read these rows, and :func:`half_octahedron_function` is their
-point -> value view.
+point -> value view.  A failed diagnostics names its first witness; a
+section rhombus or an octahedron base is worded as in
+:meth:`hives.octahedron.PcpmReport.witnesses`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,20 @@ from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     cutting_sections, tri_points, unit_rhombi_2d)
 from .hive import (Hive, boundary, prefix_sums,
                    require_dc_partition_boundary, validate_dc)
-from .octahedron import (_solve_row_forward, _unpolarized, extract_face,
+from .octahedron import (_octahedron_witness, _section_witness,
+                         _solve_row_forward, _unpolarized, extract_face,
                          inverse_propagate, propagate)
+
+
+def _validate_pair(what: str, names: tuple[str, str], a: Hive, b: Hive) -> None:
+    """Equal sizes, and each hive normalized and discretely concave."""
+    if a.n != b.n:
+        raise ValueError(f"{what}: sizes differ")
+    for name, h in zip(names, (a, b)):
+        if not h.is_normalized():
+            raise ValueError(f"{what}: {name} is not normalized")
+        if validate_dc(h):
+            raise ValueError(f"{what}: {name} is not discretely concave")
 
 
 @dataclass(frozen=True)
@@ -48,17 +62,11 @@ class GluedPair:
     f2: Hive
 
     def validate(self) -> None:
-        if self.f1.n != self.f2.n:
-            raise ValueError("glued pair: sizes differ")
-        for name, h in (("f1", self.f1), ("f2", self.f2)):
-            if not h.is_normalized():
-                raise ValueError(f"glued pair: {name} is not normalized")
-            if validate_dc(h):
-                raise ValueError(f"glued pair: {name} is not discretely concave")
-        if boundary(self.f1).hyp != boundary(self.f2).base:
-            raise ValueError(
-                "glued pair: hypotenuse of f1 and base of f2 disagree: "
-                f"{boundary(self.f1).hyp} vs {boundary(self.f2).base}")
+        _validate_pair("glued pair", ("f1", "f2"), self.f1, self.f2)
+        hyp, base = boundary(self.f1).hyp, boundary(self.f2).base
+        if hyp != base:
+            raise ValueError("glued pair: hypotenuse of f1 and base of f2 "
+                             f"disagree: {hyp} vs {base}")
 
 
 @dataclass(frozen=True)
@@ -70,17 +78,11 @@ class WallPair:
     w2: Hive
 
     def validate(self) -> None:
-        if self.w1.n != self.w2.n:
-            raise ValueError("wall pair: sizes differ")
-        for name, h in (("w1", self.w1), ("w2", self.w2)):
-            if not h.is_normalized():
-                raise ValueError(f"wall pair: {name} is not normalized")
-            if validate_dc(h):
-                raise ValueError(f"wall pair: {name} is not discretely concave")
-        if boundary(self.w1).base != boundary(self.w2).left:
-            raise ValueError(
-                "wall pair: base of w1 and left edge of w2 disagree: "
-                f"{boundary(self.w1).base} vs {boundary(self.w2).left}")
+        _validate_pair("wall pair", ("w1", "w2"), self.w1, self.w2)
+        base, left = boundary(self.w1).base, boundary(self.w2).left
+        if base != left:
+            raise ValueError("wall pair: base of w1 and left edge of w2 "
+                             f"disagree: {base} vs {left}")
 
 
 def assoc_forward(pair: GluedPair) -> WallPair:
@@ -189,6 +191,7 @@ class CommutorDiagnostics:
     differs from the separable hive of mu, and where the x = 0 wall face
     differs from the separable profile of nu (values S^nu_{n-y} up to a
     constant).
+    A failure is named by :meth:`witness`.
     """
 
     rhombus_violations: tuple[tuple[FaceChart, UnitRhombus2D], ...]
@@ -198,9 +201,23 @@ class CommutorDiagnostics:
     pnu_wall_mismatch: tuple[TetraPoint, ...]
 
     def ok(self) -> bool:
-        return not (self.rhombus_violations or self.polarization_violations
-                    or self.square_violations or self.pmu_face_mismatch
-                    or self.pnu_wall_mismatch)
+        return self.witness() is None
+
+    def witness(self) -> str | None:
+        """The first witness of the first failing check, in field order, or
+        None when every check holds."""
+        if self.rhombus_violations:
+            return _section_witness(*self.rhombus_violations[0])
+        if self.polarization_violations:
+            return _octahedron_witness(self.polarization_violations[0])
+        if self.square_violations:
+            return ("square base not separable at cell "
+                    f"{self.square_violations[0]}")
+        if self.pmu_face_mismatch:
+            return f"y = n face differs from p_mu at {self.pmu_face_mismatch[0]}"
+        if self.pnu_wall_mismatch:
+            return f"x = 0 wall differs from p_nu at {self.pnu_wall_mismatch[0]}"
+        return None
 
 
 def _section_rhombus_violations(layers: list[list[list[int] | None]]
@@ -211,7 +228,7 @@ def _section_rhombus_violations(layers: list[list[list[int] | None]]
     :func:`cutting_sections` order, then :func:`unit_rhombi_2d` order."""
     n = len(layers) - 1
     bad = []
-    for chart in cutting_sections(2 * n, min_size=2):
+    for chart in cutting_sections(2 * n):
         s = {}
         for i, j in tri_points(chart.size):
             x, y, z = chart.point(i, j)

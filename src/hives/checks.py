@@ -14,9 +14,8 @@ from functools import partial, wraps
 from itertools import product
 from typing import Callable, Iterator
 
-from .bijections import (CommutorDiagnostics, GluedPair, WallPair,
-                         assoc_forward, assoc_inverse, commutor,
-                         half_octahedron_diagnostics)
+from .bijections import (GluedPair, WallPair, assoc_forward, assoc_inverse,
+                         commutor, half_octahedron_diagnostics)
 from .enumeration import (brute_force_count, count_hives,
                           enumerate_glued_pairs, enumerate_hives,
                           enumerate_wall_pairs)
@@ -161,16 +160,7 @@ def propagation(max_part: int, random_cases: int) -> SuiteResult:
     for tag, (f1, f2) in tagged:
         t = propagate(f1, f2)
         n = t.n
-        report = check_pcpm(t)
-        if report.polarized_violations:
-            base = report.polarized_violations[0].base
-            failures.append(f"{tag}: not polarized at octahedron base {base}")
-        first = {}  # the first failed rhombus of each section, in order
-        for chart, rh in report.rhombus_violations:
-            first.setdefault(chart.name, rh)
-        failures += [f"{tag}: section {name} not DC "
-                     f"(kind {rh.kind} at {rh.anchor})"
-                     for name, rh in first.items()]
+        failures += [f"{tag}: {line}" for line in check_pcpm(t).witnesses()]
         w1 = extract_face(t, FaceChart.wall_x0(n))
         w2 = extract_face(t, FaceChart.wall_y0(n))
         if inverse_propagate(w1, w2) != t:
@@ -224,21 +214,6 @@ def associativity(max_part: int) -> SuiteResult:
     return cases, failures
 
 
-def _diagnostics_witness(d: CommutorDiagnostics) -> str:
-    """The first witness of the first failing half-octahedron check."""
-    if d.rhombus_violations:
-        chart, rh = d.rhombus_violations[0]
-        return f"section {chart.name} not DC (kind {rh.kind} at {rh.anchor})"
-    if d.polarization_violations:
-        base = d.polarization_violations[0].base
-        return f"not polarized at octahedron base {base}"
-    if d.square_violations:
-        return f"square base not separable at cell {d.square_violations[0]}"
-    if d.pmu_face_mismatch:
-        return f"y = n face differs from p_mu at {d.pmu_face_mismatch[0]}"
-    return f"x = 0 wall differs from p_nu at {d.pnu_wall_mismatch[0]}"
-
-
 @_suite
 def commutativity(max_part: int) -> SuiteResult:
     """Commutor bijectivity and half-octahedron diagnostics over
@@ -260,10 +235,10 @@ def commutativity(max_part: int) -> SuiteResult:
             outs.add(o)
             if o not in target:
                 failures.append(f"commutor output leaves DC({nu},{mu};{lam})")
-            diag = half_octahedron_diagnostics(h)
-            if not diag.ok():
+            witness = half_octahedron_diagnostics(h).witness()
+            if witness is not None:
                 failures.append(f"diagnostics failed at ({mu},{nu},{lam}): "
-                                f"{_diagnostics_witness(diag)}")
+                                f"{witness}")
         if len(outs) != len(hs):
             failures.append(f"commutor not injective at ({mu},{nu},{lam})")
     return cases, failures

@@ -2,9 +2,11 @@
 
 Subcommands: lr, schur, enumerate, pairs, verify, assoc, commute, propagate,
 selfcheck, render.  Exit codes: 0 success, 1 a mathematical identity or
-concavity check failed, 2 usage or input-schema error.  All outputs are
-deterministic.  --format json (lr, schur, verify) prints JSON instead of a
-table; --canonical (all but selfcheck and render) makes JSON byte-stable.
+concavity check failed, 2 usage or input-schema error.  A failed check
+names its witnesses: verify each violated rhombus, commute --check and
+propagate --check-pcpm on stderr.  All outputs are deterministic.
+--format json (lr, schur, verify) prints JSON instead of a table;
+--canonical (all but selfcheck and render) makes JSON byte-stable.
 --max-count (enumerate, pairs) counts the result first and exits 2 if it
 is larger, so a runaway listing is refused before it is built.
 selfcheck runs the suites of hives.checks; --max-n >= 2, --max-part >= 0
@@ -158,7 +160,7 @@ def cmd_verify(args) -> int:
         verdict = "DC" if not bad else "NOT DC"
         print(f"{verdict}; left={b.left} hyp={b.hyp} base={b.base}")
         for rh in bad:
-            print(f"violated: kind {rh.kind} at {rh.anchor}")
+            print(f"violated: {rh}")
     return EXIT_OK if not bad else EXIT_MATH
 
 
@@ -176,9 +178,9 @@ def cmd_commute(args) -> int:
     h = hive_from_obj(_read_json(args.hive))
     out = commutor(h)
     if args.check:
-        diag = half_octahedron_diagnostics(h)
-        if not diag.ok():
-            print("half-octahedron diagnostics failed", file=sys.stderr)
+        witness = half_octahedron_diagnostics(h).witness()
+        if witness is not None:
+            print(witness, file=sys.stderr)
             return EXIT_MATH
     _emit(dumps(hive_to_obj(out), canonical=args.canonical), args.output)
     return EXIT_OK
@@ -190,12 +192,9 @@ def cmd_propagate(args) -> int:
     t = propagate(ground, ceiling)
     _emit(dumps(tetra_to_obj(t), canonical=args.canonical), args.output)
     if args.check_pcpm:
-        report = check_pcpm(t)
-        if not report.ok():
-            print(f"not polarized discretely concave: "
-                  f"{len(report.polarized_violations)} octahedron and "
-                  f"{len(report.rhombus_violations)} rhombus violations",
-                  file=sys.stderr)
+        witnesses = check_pcpm(t).witnesses()
+        if witnesses:
+            print("\n".join(witnesses), file=sys.stderr)
             return EXIT_MATH
     return EXIT_OK
 

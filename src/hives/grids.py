@@ -37,6 +37,9 @@ class UnitRhombus2D:
         kind I   at (i, j): f(i+1,j) + f(i,j+1)   >= f(i,j)   + f(i+1,j+1)
         kind II  at (i, j): f(i+1,j) + f(i+1,j+1) >= f(i,j+1) + f(i+2,j)
         kind III at (i, j): f(i,j+1) + f(i+1,j+1) >= f(i,j+2) + f(i+1,j)
+
+    ``str`` gives "kind K at (i, j)", the text every report of a failed
+    rhombus uses.
     """
 
     kind: str
@@ -46,6 +49,9 @@ class UnitRhombus2D:
 
     def vertices(self) -> tuple[TriPoint, TriPoint, TriPoint, TriPoint]:
         return self.cut + self.free
+
+    def __str__(self) -> str:
+        return f"kind {self.kind} at {self.anchor}"
 
 
 def rhombus(kind: str, i: int, j: int) -> UnitRhombus2D:
@@ -172,12 +178,11 @@ def unit_octahedra(n: int) -> list[UnitOctahedron]:
     return [UnitOctahedron(t) for t in tetra_points(n - 2)]
 
 
-def cutting_sections(n: int, min_size: int = 0) -> list[FaceChart]:
-    """Charts for all cutting-plane sections of the size-n tetrahedron whose
-    triangle size is at least min_size, in family order x, y, z, x+y+z."""
-    charts: list[FaceChart] = []
-    charts += [FaceChart.section_x(n, a) for a in range(n - min_size + 1)]
-    charts += [FaceChart.section_y(n, b) for b in range(n - min_size + 1)]
-    charts += [FaceChart.section_z(n, k) for k in range(n - min_size + 1)]
-    charts += [FaceChart.section_sum(n, l) for l in range(min_size, n + 1)]
-    return charts
+def cutting_sections(n: int) -> list[FaceChart]:
+    """Charts for the cutting-plane sections of the size-n tetrahedron that
+    hold a unit rhombus (triangle size >= 2), in family order x, y, z,
+    x+y+z."""
+    return ([FaceChart.section_x(n, a) for a in range(n - 1)]
+            + [FaceChart.section_y(n, b) for b in range(n - 1)]
+            + [FaceChart.section_z(n, k) for k in range(n - 1)]
+            + [FaceChart.section_sum(n, l) for l in range(2, n + 1)])

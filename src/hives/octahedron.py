@@ -31,7 +31,10 @@ ceiling always lands in this class, which is the engine behind both
 bijections in :mod:`hives.bijections`.  Each section is a hive of its face
 chart, so :func:`check_pcpm` checks it as one: :func:`extract_face`, then
 :func:`hives.hive.validate_dc`.  :func:`check_polarized` scans the rows for
-the rule, a scan the commutor diagnostics share.
+the rule, a scan the commutor diagnostics share.  A failure names its
+witness, an octahedron base or a section chart with its rhombus, in the
+words of :meth:`PcpmReport.witnesses`, which the commutor diagnostics
+share too.
 """
 
 from __future__ import annotations
@@ -218,6 +221,14 @@ def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:
     return _unpolarized(t.layers)
 
 
+def _octahedron_witness(o: UnitOctahedron) -> str:
+    return f"not polarized at octahedron base {o.base}"
+
+
+def _section_witness(chart: FaceChart, rh: UnitRhombus2D) -> str:
+    return f"section {chart.name} not DC ({rh})"
+
+
 @dataclass(frozen=True)
 class PcpmReport:
     """Evidence for membership in the polarized discretely concave class."""
@@ -228,6 +239,15 @@ class PcpmReport:
     def ok(self) -> bool:
         return not self.polarized_violations and not self.rhombus_violations
 
+    def witnesses(self) -> list[str]:
+        """One line per witness: the first octahedron off the rule, then the
+        first failed rhombus of each non-DC section, in section order."""
+        lines = [_octahedron_witness(o) for o in self.polarized_violations[:1]]
+        first = {}  # the first failed rhombus of each section, in order
+        for chart, rh in self.rhombus_violations:
+            first.setdefault(chart, rh)
+        return lines + [_section_witness(*item) for item in first.items()]
+
 
 def check_pcpm(t: TetraFunction) -> PcpmReport:
     """Check polarization, and discrete concavity of every cutting-plane
@@ -236,5 +256,5 @@ def check_pcpm(t: TetraFunction) -> PcpmReport:
     within a section."""
     return PcpmReport(tuple(check_polarized(t)),
                       tuple((chart, rh)
-                            for chart in cutting_sections(t.n, min_size=2)
+                            for chart in cutting_sections(t.n)
                             for rh in validate_dc(extract_face(t, chart))))

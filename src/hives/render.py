@@ -63,7 +63,7 @@ def render_hive_svg(h: Hive) -> str:
     for rh in validate_dc(h):
         pts = " ".join("%d,%d" % _pos(i, j, n) for (i, j) in _rhombus_outline(rh))
         lines.append(f'<polygon class="bad" points="{pts}">'
-                     f'<title>kind {rh.kind} at {rh.anchor}</title></polygon>')
+                     f'<title>{rh}</title></polygon>')
 
     for (i, j) in tri_points(n):
         x, y = _pos(i, j, n)

@@ -35,12 +35,9 @@ mean fewer row choices and fewer memo states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .hive import Partition, is_partition
-
-Filling = dict[tuple[int, int], int]
 
 
 def _trim(p: Partition) -> tuple[int, ...]:
@@ -51,53 +48,29 @@ def _trim(p: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """The cells of outer/inner, for partitions inner contained in outer."""
+def _lr_fillings(mu: Partition, nu: Partition, lam: Partition
+                 ) -> Iterator[dict[tuple[int, int], int]]:
+    """Depth-first generation of LR fillings of lam/mu with weight nu, each
+    a dict (row, column) -> entry.
 
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self) -> None:
-        outer, inner = _trim(self.outer), _trim(self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        if len(inner) > len(outer) or any(
-                inner[r] > outer[r] for r in range(len(inner))):
-            raise ValueError(f"{inner} is not contained in {outer}")
-
-    def inner_end(self, row: int) -> int:
-        return self.inner[row] if row < len(self.inner) else 0
-
-    def cells(self) -> list[tuple[int, int]]:
-        """Skew cells in reading order: rows top down, right to left."""
-        return [(r, c)
-                for r in range(len(self.outer))
-                for c in range(self.outer[r] - 1, self.inner_end(r) - 1, -1)]
-
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
-
-def _lr_fillings(mu: Partition, nu: Partition, lam: Partition) -> Iterator[Filling]:
-    """Depth-first generation of LR fillings of lam/mu with weight nu.
-
-    Cells are filled in reading order, so the lattice-word prefix condition
-    and both semistandardness conditions prune the search as it goes.
+    Cells are filled in reading order (rows top down, right to left), so the
+    lattice-word prefix condition and both semistandardness conditions
+    prune the search as it goes.
     """
     mu, nu, lam = _trim(mu), _trim(nu), _trim(lam)
     if sum(mu) + sum(nu) != sum(lam):
         return
     if len(mu) > len(lam) or any(mu[r] > lam[r] for r in range(len(mu))):
         return
-    shape = SkewShape(lam, mu)
-    cells = shape.cells()
+    inner = mu + (0,) * (len(lam) - len(mu))
+    cells = [(r, c) for r in range(len(lam))
+             for c in range(lam[r] - 1, inner[r] - 1, -1)]
     k = len(nu)
-    entries: Filling = {}
+    entries: dict[tuple[int, int], int] = {}
     remaining = list(nu)
     counts = [0] * (k + 1)
 
-    def fill(pos: int) -> Iterator[Filling]:
+    def fill(pos: int) -> Iterator[dict[tuple[int, int], int]]:
         if pos == len(cells):
             yield dict(entries)
             return

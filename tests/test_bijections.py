@@ -13,8 +13,8 @@ from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.grids import cutting_sections, unit_octahedra, unit_rhombi_2d
-from hives.hive import Hive, boundary, pad, prefix_sums
-from hives.tableaux import lr_coefficient, partitions_in_box
+from hives.hive import BoundaryTriple, Hive, boundary, pad, prefix_sums
+from hives.tableaux import lr_coefficient, partitions_in_box, schur_product
 
 
 @st.composite
@@ -73,6 +73,77 @@ def test_wall_pair_validation():
     shared_ok = WallPair(w.w1, w.w2)
     shared_ok.validate()
     assert all(w.w1[i, 0] == w.w2[0, i] for i in range(3))
+
+
+NOT_DC = Hive(((0, 2, 2), (1, 4), (1,)))
+W1 = Hive(((0, 2, 2), (1, 2), (1,)))  # the walls of GluedPair(F1, F2)
+W2 = Hive(((0, 2, 2), (2, 2), (2,)))
+
+
+@pytest.mark.parametrize("pair, message", [
+    (GluedPair(F1, Hive.zero(3)), "glued pair: sizes differ"),
+    (GluedPair(F1.shift(1), F2), "glued pair: f1 is not normalized"),
+    (GluedPair(F1, F2.shift(1)), "glued pair: f2 is not normalized"),
+    (GluedPair(NOT_DC, F2), "glued pair: f1 is not discretely concave"),
+    (GluedPair(F1, NOT_DC), "glued pair: f2 is not discretely concave"),
+    (GluedPair(F1, Hive.zero(2)), "glued pair: hypotenuse of f1 and base of "
+                                  "f2 disagree: (1, 0) vs (0, 0)"),
+    (WallPair(W1, Hive.zero(3)), "wall pair: sizes differ"),
+    (WallPair(W1.shift(1), W2), "wall pair: w1 is not normalized"),
+    (WallPair(W1, W2.shift(1)), "wall pair: w2 is not normalized"),
+    (WallPair(NOT_DC, W2), "wall pair: w1 is not discretely concave"),
+    (WallPair(W1, NOT_DC), "wall pair: w2 is not discretely concave"),
+    (WallPair(W1, Hive.zero(2)), "wall pair: base of w1 and left edge of w2 "
+                                 "disagree: (2, 0) vs (0, 0)"),
+])
+def test_pair_validation_messages(pair, message):
+    with pytest.raises(ValueError) as exc:
+        pair.validate()
+    assert str(exc.value) == message
+
+
+def draw_member(draw, left, hyp, n, max_count=24):
+    """(lam, a hive of DC(left, hyp; lam)), lam drawn among the partitions
+    of at most n parts whose coefficient is positive and at most max_count,
+    so the enumeration stays small."""
+    lams = [lam for lam, c in schur_product(left, hyp, n).items()
+            if c <= max_count]  # never empty: c(left, hyp; left + hyp) = 1
+    lam = pad(draw(st.sampled_from(lams)), n)
+    return lam, draw(st.sampled_from(enumerate_hives(left, hyp, lam)))
+
+
+@st.composite
+def assoc_pairs(draw, side, max_n=6, max_part=2):
+    """A glued pair f1 in DC(mu, g; lam), f2 in DC(pi, sigma; g), or a wall
+    pair w1 in DC(mu, pi; t), w2 in DC(t, sigma; lam), of size <= max_n."""
+    n = draw(st.integers(1, max_n))
+    ps = partitions_upto(n, max_part)
+    mu, pi, sigma = draw(st.sampled_from(ps)), draw(st.sampled_from(ps)), \
+        draw(st.sampled_from(ps))
+    if side == "glued":
+        g, f2 = draw_member(draw, pi, sigma, n)
+        _, f1 = draw_member(draw, mu, g, n)
+        return GluedPair(f1, f2)
+    t, w1 = draw_member(draw, mu, pi, n)
+    _, w2 = draw_member(draw, t, sigma, n)
+    return WallPair(w1, w2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(assoc_pairs("glued"))
+def test_assoc_forward_roundtrip_and_wall_boundaries(pair):
+    w = assoc_forward(pair)
+    assert assoc_inverse(w) == pair
+    b1, b2 = boundary(pair.f1), boundary(pair.f2)
+    t = boundary(w.w1).base
+    assert boundary(w.w1) == BoundaryTriple(b1.left, b2.left, t)
+    assert boundary(w.w2) == BoundaryTriple(t, b2.hyp, b1.base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(assoc_pairs("wall"))
+def test_assoc_inverse_roundtrip(pair):
+    assert assoc_forward(assoc_inverse(pair)) == pair
 
 
 def test_assoc_bijection_exhaustive_small():
@@ -282,7 +353,7 @@ def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
                      if all(v in values for v in oct.vertices())
                      and polarization_slack(values, oct) != 0)
         want_rhombi = []
-        for chart in cutting_sections(2 * h.n, min_size=2):
+        for chart in cutting_sections(2 * h.n):
             for rh in unit_rhombi_2d(chart.size):
                 c1, c2, f1, f2 = (chart.point(*v) for v in rh.vertices())
                 if (all(v in values for v in (c1, c2, f1, f2))

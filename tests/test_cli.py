@@ -3,11 +3,12 @@ import re
 
 import pytest
 
-from hives import bijections, checks
+from hives import bijections, checks, cli
 from hives.bijections import CommutorDiagnostics
 from hives.cli import main
+from hives.enumeration import enumerate_hives
 from hives.jsonio import dumps, hive_to_obj
-from hives.hive import Hive
+from hives.hive import Hive, boundary
 
 WORKED = '{"n":2,"values":[[0,2,2],[1,2],[1]]}\n'
 PAIR = ('{"f1":{"n":2,"values":[[0,2,2],[1,2],[1]]},'
@@ -24,6 +25,15 @@ def test_lr_both_agree(capsys):
     assert main(["lr", "--mu", "2,1", "--nu", "2,1", "--lambda", "3,2,1",
                  "--method", "both"]) == 0
     assert capsys.readouterr().out.split() == ["2", "2"]
+
+
+def test_lr_both_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "count_hives", lambda mu, nu, lam: 3)
+    assert main(["lr", "--mu", "2,1", "--nu", "2,1", "--lambda", "3,2,1",
+                 "--method", "both"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["3", "2"]
+    assert captured.err == "hive and tableaux counts disagree\n"
 
 
 def test_lr_single_methods(capsys):
@@ -132,6 +142,21 @@ def test_propagate_with_pcpm(tmp_path, capsys):
                  "--check-pcpm", "--canonical"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["values"][1][0][0] == 2  # T(0, 0, 1)
+
+
+def test_propagate_check_pcpm_names_the_non_dc_sections(tmp_path, capsys):
+    g = write(tmp_path, "g.json", '{"n":2,"values":[[0,2,2],[1,4],[1]]}\n')
+    c = write(tmp_path, "c.json", '{"n":2,"values":[[0,3,1],[0,0],[0]]}\n')
+    assert main(["propagate", "--ground", g, "--ceiling", c,
+                 "--check-pcpm", "--canonical"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "section x=0 not DC (kind I at (0, 0))",
+        "section y=0 not DC (kind III at (0, 0))",
+        "section z=0 not DC (kind I at (0, 0))",
+        "section x+y+z=2 not DC (kind I at (0, 0))",
+    ]
+    assert json.loads(captured.out)["n"] == 2  # the function is still written
 
 
 def test_propagate_rejects_mismatch(tmp_path, capsys):
@@ -251,6 +276,35 @@ def test_commutor_diagnostics_failures_name_their_witness(monkeypatch,
     assert ("diagnostics failed at ((2, 1, 0),(2, 1, 0),(3, 2, 1)): "
             "section x=1 not DC (kind II at (0, 2))") in lines
     assert out.endswith("selfcheck: FAIL\n")
+
+
+def test_commute_check_names_the_witness_of_the_suite(monkeypatch, tmp_path,
+                                                       capsys):
+    """commute --check prints on stderr the witness that the commutor suite
+    prints for the same bump, writes no hive, and exits 1."""
+    real = bijections._half_octahedron_layers
+
+    def bumped(h):
+        layers = real(h)
+        layers[h.n - 1][h.n - 1][1] += 1  # the point (1, n - 1, n - 1)
+        return layers
+    monkeypatch.setattr(bijections, "_half_octahedron_layers", bumped)
+    _, failures = checks.commutativity(0)
+    hives = [Hive.zero(2), *enumerate_hives((2, 1, 0), (2, 1, 0), (3, 2, 1))]
+    witnesses = set()
+    for h in hives:
+        path = write(tmp_path, "h.json", dumps(hive_to_obj(h)))
+        assert main(["commute", path, "--check", "--canonical"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        witness = captured.err.removesuffix("\n")
+        assert "\n" not in witness
+        b = boundary(h)
+        assert (f"diagnostics failed at ({b.left},{b.hyp},{b.base}): "
+                f"{witness}") in failures
+        witnesses.add(witness)
+    assert witnesses >= {"not polarized at octahedron base (0, 1, 1)",
+                         "section x=1 not DC (kind II at (0, 2))"}
 
 
 @pytest.mark.parametrize("fields, witness", [

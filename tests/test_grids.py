@@ -72,12 +72,12 @@ def test_octahedron_counts_and_structure():
 
 
 def test_section_rhombi_counts():
-    assert cutting_sections(1, min_size=2) == []
-    charts = cutting_sections(2, min_size=2)
+    assert cutting_sections(1) == []
+    charts = cutting_sections(2)
     assert sum(len(unit_rhombi_2d(c.size)) for c in charts) == 12
     assert sorted(c.name for c in charts) == ["x+y+z=2", "x=0", "y=0", "z=0"]
     by_chart = {c.name: len(unit_rhombi_2d(c.size))
-                for c in cutting_sections(3, min_size=2)}
+                for c in cutting_sections(3)}
     assert len(by_chart) == 8  # two sections of size >= 2 per family
     assert set(by_chart.values()) == {3, 9}
 
@@ -88,6 +88,10 @@ def test_chart_consistency(n):
     charts = [FaceChart.ground(n), FaceChart.ceiling(n),
               FaceChart.wall_x0(n), FaceChart.wall_y0(n)]
     charts += cutting_sections(n)
+    assert all(chart.size >= 2 for chart in cutting_sections(n))
+    for a in (n - 1, n):  # the sections of size 1 and 0 hold no rhombus
+        charts += [FaceChart.section_x(n, a), FaceChart.section_y(n, a),
+                   FaceChart.section_z(n, a), FaceChart.section_sum(n, n - a)]
     for chart in charts:
         image = chart_points(chart)
         assert all(p in grid for p in image), chart.name

@@ -134,7 +134,7 @@ def section_rhombus_reference(t: TetraFunction) -> list:
     """The failed rhombi of every cutting-plane section, one rhombus at a
     time through the chart's point map."""
     bad = []
-    for chart in cutting_sections(t.n, min_size=2):
+    for chart in cutting_sections(t.n):
         for rh in unit_rhombi_2d(chart.size):
             (c1, c2), (f1, f2) = rh.cut, rh.free
             if (t[chart.point(*c1)] + t[chart.point(*c2)]
