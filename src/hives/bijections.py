@@ -25,8 +25,11 @@ commutativity bijection.
 
 The half-octahedron is filled as rows layers[z][y][x]; the commutor and its
 diagnostics read these rows, and :func:`half_octahedron_function` is their
-point -> value view.  A failed diagnostics names its first witness; a
-section rhombus or an octahedron base is worded as in
+point -> value view.  The diagnostics run
+:func:`hives.octahedron.check_pcpm` on the size-2n function that holds these
+rows and zero elsewhere, and keep the section rhombi and octahedra with
+every vertex in the half-octahedron.  A failed diagnostics names its first
+witness; a section rhombus or an octahedron base is worded as in
 :meth:`hives.octahedron.PcpmReport.witnesses`.
 """
 
@@ -34,24 +37,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
-                    cutting_sections, tri_points, unit_rhombi_2d)
-from .hive import (Hive, boundary, prefix_sums,
-                   require_dc_partition_boundary, validate_dc)
-from .octahedron import (_octahedron_witness, _section_witness,
-                         _solve_row_forward, _unpolarized, extract_face,
-                         inverse_propagate, propagate)
+from .grids import FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D
+from .hive import BoundaryTriple, Hive, boundary, prefix_sums, require_dc
+from .octahedron import (TetraFunction, _octahedron_witness,
+                         _section_witness, _solve_row_forward, check_pcpm,
+                         extract_face, inverse_propagate, propagate)
 
 
-def _validate_pair(what: str, names: tuple[str, str], a: Hive, b: Hive) -> None:
-    """Equal sizes, and each hive normalized and discretely concave."""
+def _validate_pair(what: str, names: tuple[str, str], a: Hive, b: Hive
+                   ) -> tuple[BoundaryTriple, BoundaryTriple]:
+    """The boundaries of two hives of equal size, each checked by
+    :func:`hives.hive.require_dc`."""
     if a.n != b.n:
         raise ValueError(f"{what}: sizes differ")
-    for name, h in zip(names, (a, b)):
-        if not h.is_normalized():
-            raise ValueError(f"{what}: {name} is not normalized")
-        if validate_dc(h):
-            raise ValueError(f"{what}: {name} is not discretely concave")
+    return (require_dc(a, f"{what}: {names[0]}"),
+            require_dc(b, f"{what}: {names[1]}"))
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class GluedPair:
     f2: Hive
 
     def validate(self) -> None:
-        _validate_pair("glued pair", ("f1", "f2"), self.f1, self.f2)
-        hyp, base = boundary(self.f1).hyp, boundary(self.f2).base
-        if hyp != base:
+        b1, b2 = _validate_pair("glued pair", ("f1", "f2"), self.f1, self.f2)
+        if b1.hyp != b2.base:
             raise ValueError("glued pair: hypotenuse of f1 and base of f2 "
-                             f"disagree: {hyp} vs {base}")
+                             f"disagree: {b1.hyp} vs {b2.base}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,10 @@ class WallPair:
     w2: Hive
 
     def validate(self) -> None:
-        _validate_pair("wall pair", ("w1", "w2"), self.w1, self.w2)
-        base, left = boundary(self.w1).base, boundary(self.w2).left
-        if base != left:
+        b1, b2 = _validate_pair("wall pair", ("w1", "w2"), self.w1, self.w2)
+        if b1.base != b2.left:
             raise ValueError("wall pair: base of w1 and left edge of w2 "
-                             f"disagree: {base} vs {left}")
+                             f"disagree: {b1.base} vs {b2.left}")
 
 
 def assoc_forward(pair: GluedPair) -> WallPair:
@@ -120,9 +118,8 @@ def _half_octahedron_layers(h: Hive) -> list[list[list[int] | None]]:
     the forward order of :func:`hives.octahedron.propagate`: z ascending,
     y descending, x descending.
     """
-    require_dc_partition_boundary(h, "half_octahedron_function")
     n = h.n
-    smu = prefix_sums(boundary(h).left)
+    smu = prefix_sums(require_dc(h, "commute input").left)
     layers: list[list[list[int] | None]] = []
     for z in range(n + 1):
         layer: list[list[int] | None] = [None] * (n + 1)
@@ -179,11 +176,13 @@ class CommutorDiagnostics:
     """Test evidence for the half-octahedron construction, read off its rows
     in the coordinates of the size-2n tetrahedron.
 
-    rhombus_violations: failed rhombus inequalities among the cutting-plane
-    rhombi whose four vertices lie in the half-octahedron (this is the
-    discrete-concavity content of the construction).
-    polarization_violations: octahedra fully inside the half-octahedron
-    where the propagation rule fails, in unit_octahedra(2n) order.
+    rhombus_violations / polarization_violations: the witnesses of
+    :func:`hives.octahedron.check_pcpm` on the half-octahedron rows
+    zero-filled to the size-2n tetrahedron, kept when every vertex lies in
+    the half-octahedron: the failed cutting-plane section rhombi (the
+    discrete-concavity content of the construction), in cutting_sections
+    order, and the octahedra off the propagation rule, in
+    unit_octahedra(2n) order.
     square_violations: base cells of the square face y + z = n whose two
     antipodal vertex sums differ (separability of the base), named by their
     corner (x, y, n - y).
@@ -220,28 +219,6 @@ class CommutorDiagnostics:
         return None
 
 
-def _section_rhombus_violations(layers: list[list[list[int] | None]]
-                                ) -> list[tuple[FaceChart, UnitRhombus2D]]:
-    """The failed rhombus inequalities of the cutting-plane sections of the
-    size-2n tetrahedron among the rhombi with all four vertices in the
-    half-octahedron of :func:`_half_octahedron_layers`, in
-    :func:`cutting_sections` order, then :func:`unit_rhombi_2d` order."""
-    n = len(layers) - 1
-    bad = []
-    for chart in cutting_sections(2 * n):
-        s = {}
-        for i, j in tri_points(chart.size):
-            x, y, z = chart.point(i, j)
-            if z <= n and y <= n and y + z >= n:
-                s[i, j] = layers[z][y][x]
-        for rh in unit_rhombi_2d(chart.size):
-            (c1, c2), (f1, f2) = rh.cut, rh.free
-            if (c1 in s and c2 in s and f1 in s and f2 in s
-                    and s[c1] + s[c2] < s[f1] + s[f2]):
-                bad.append((chart, rh))
-    return bad
-
-
 def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
     """Check every structural claim behind :func:`commutor` on one input."""
     n = h.n
@@ -265,7 +242,16 @@ def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
                for y in range(n + 1) for z in range(n - y, n + 1)
                if layers[z][y][0] != snu[n - y] + shift]
 
-    return CommutorDiagnostics(tuple(_section_rhombus_violations(layers)),
-                               tuple(_unpolarized(layers)),
-                               tuple(square_bad), tuple(pmu_bad),
-                               tuple(pnu_bad))
+    report = check_pcpm(TetraFunction(
+        [[layers[z][y] if z <= n and n - z <= y <= n
+          else [0] * (2 * n - z - y + 1) for y in range(2 * n - z + 1)]
+         for z in range(2 * n + 1)]))
+
+    def inside(points) -> bool:
+        return all(z <= n and y <= n and y + z >= n for _, y, z in points)
+
+    return CommutorDiagnostics(
+        tuple((chart, rh) for chart, rh in report.rhombus_violations
+              if inside(chart.point(*v) for v in rh.vertices())),
+        tuple(o for o in report.polarized_violations if inside(o.vertices())),
+        tuple(square_bad), tuple(pmu_bad), tuple(pnu_bad))

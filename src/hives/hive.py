@@ -149,15 +149,19 @@ def p_mu(mu: Partition) -> Hive:
     return Hive.build(len(mu), lambda i, j: s[i])
 
 
-def require_dc_partition_boundary(h: Hive, where: str) -> BoundaryTriple:
-    """Reject hives that are not normalized DC with partition boundary."""
+def require_dc(h: Hive, role: str) -> BoundaryTriple:
+    """The boundary of h, a normalized DC hive with partition boundary
+    increments; otherwise a ValueError naming the role the caller gives h
+    and the first witness: a failed rhombus or a non-partition side."""
     if not h.is_normalized():
-        raise ValueError(f"{where}: hive is not normalized at the origin")
+        raise ValueError(f"{role} is not normalized")
     bad = validate_dc(h)
     if bad:
-        raise ValueError(f"{where}: hive is not discretely concave "
-                         f"({len(bad)} rhombus violations)")
+        raise ValueError(f"{role} violates {bad[0]}")
     b = boundary(h)
-    if not b.is_partition_triple():
-        raise ValueError(f"{where}: boundary increments {b} are not partitions")
+    for side in ("left", "hyp", "base"):
+        increments = getattr(b, side)
+        if not is_partition(increments):
+            raise ValueError(f"{role} has {side} increments {increments}, "
+                             "not a partition")
     return b

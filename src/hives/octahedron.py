@@ -31,10 +31,11 @@ ceiling always lands in this class, which is the engine behind both
 bijections in :mod:`hives.bijections`.  Each section is a hive of its face
 chart, so :func:`check_pcpm` checks it as one: :func:`extract_face`, then
 :func:`hives.hive.validate_dc`.  :func:`check_polarized` scans the rows for
-the rule, a scan the commutor diagnostics share.  A failure names its
-witness, an octahedron base or a section chart with its rhombus, in the
-words of :meth:`PcpmReport.witnesses`, which the commutor diagnostics
-share too.
+the rule.  A failure names its witness, an octahedron base or a section
+chart with its rhombus, in the words of :meth:`PcpmReport.witnesses`.
+The commutor diagnostics run :func:`check_pcpm` on the half-octahedron
+rows zero-filled to the size-2n tetrahedron and keep the witnesses inside
+the half-octahedron.
 """
 
 from __future__ import annotations
@@ -194,19 +195,16 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
     return TetraFunction(layers)
 
 
-def _unpolarized(layers: Sequence[Sequence[Sequence[int] | None]]
-                 ) -> list[UnitOctahedron]:
-    """The unit octahedra off the propagation rule, in unit_octahedra order,
-    each read off rows y and y + 1 of levels z and z + 1 for its base
-    (x, y, z).  Base rows that are None are skipped and x runs over
-    len(layers[z + 1][y + 1]), so half-octahedron rows scan too."""
+def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:
+    """All unit octahedra where the propagation rule fails, in
+    unit_octahedra order, each read off rows y and y + 1 of levels z and
+    z + 1 for its base (x, y, z)."""
+    layers = t.layers
     bad = []
     for z in range(len(layers) - 1):
         level, above = layers[z], layers[z + 1]
         for y in range(len(above) - 1):
             row = level[y]
-            if row is None:
-                continue
             north, up, up_north = level[y + 1], above[y], above[y + 1]
             for x in range(len(up_north)):
                 ox_yz = row[x + 1] + up_north[x]
@@ -214,11 +212,6 @@ def _unpolarized(layers: Sequence[Sequence[Sequence[int] | None]]
                 if up[x] + north[x + 1] != (ox_yz if ox_yz > oy_xz else oy_xz):
                     bad.append(UnitOctahedron((x, y, z)))
     return bad
-
-
-def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:
-    """All unit octahedra where the propagation rule fails."""
-    return _unpolarized(t.layers)
 
 
 def _octahedron_witness(o: UnitOctahedron) -> str:

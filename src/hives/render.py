@@ -8,7 +8,7 @@ is byte-identical across runs for a fixed input.
 
 from __future__ import annotations
 
-from .grids import UnitRhombus2D, tri_points
+from .grids import tri_points
 from .hive import Hive, validate_dc
 
 UNIT = 40          # horizontal distance between neighbours
@@ -20,16 +20,6 @@ def _pos(i: int, j: int, n: int) -> tuple[int, int]:
     x = MARGIN + UNIT * i + (UNIT // 2) * j
     y = MARGIN + ROW * (n - j)
     return x, y
-
-
-def _rhombus_outline(rh: UnitRhombus2D) -> list[tuple[int, int]]:
-    """The four vertices in cyclic order around the rhombus."""
-    i, j = rh.anchor
-    if rh.kind == "I":
-        return [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-    if rh.kind == "II":
-        return [(i + 1, j), (i + 2, j), (i + 1, j + 1), (i, j + 1)]
-    return [(i + 1, j), (i + 1, j + 1), (i, j + 2), (i, j + 1)]
 
 
 def render_hive_svg(h: Hive) -> str:
@@ -61,7 +51,8 @@ def render_hive_svg(h: Hive) -> str:
         lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
 
     for rh in validate_dc(h):
-        pts = " ".join("%d,%d" % _pos(i, j, n) for (i, j) in _rhombus_outline(rh))
+        (c1, c2), (f1, f2) = rh.cut, rh.free  # diagonal ends alternate
+        pts = " ".join("%d,%d" % _pos(i, j, n) for (i, j) in (f1, c1, f2, c2))
         lines.append(f'<polygon class="bad" points="{pts}">'
                      f'<title>{rh}</title></polygon>')
 

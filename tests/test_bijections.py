@@ -13,7 +13,8 @@ from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
 from hives.grids import cutting_sections, unit_octahedra, unit_rhombi_2d
-from hives.hive import BoundaryTriple, Hive, boundary, pad, prefix_sums
+from hives.hive import (BoundaryTriple, Hive, boundary, p_mu, pad,
+                        prefix_sums)
 from hives.tableaux import lr_coefficient, partitions_in_box, schur_product
 
 
@@ -76,6 +77,7 @@ def test_wall_pair_validation():
 
 
 NOT_DC = Hive(((0, 2, 2), (1, 4), (1,)))
+NOT_PARTITION = Hive(((0, 0, 0), (0, 0), (-1,)))  # DC; left edge (0, -1)
 W1 = Hive(((0, 2, 2), (1, 2), (1,)))  # the walls of GluedPair(F1, F2)
 W2 = Hive(((0, 2, 2), (2, 2), (2,)))
 
@@ -84,17 +86,21 @@ W2 = Hive(((0, 2, 2), (2, 2), (2,)))
     (GluedPair(F1, Hive.zero(3)), "glued pair: sizes differ"),
     (GluedPair(F1.shift(1), F2), "glued pair: f1 is not normalized"),
     (GluedPair(F1, F2.shift(1)), "glued pair: f2 is not normalized"),
-    (GluedPair(NOT_DC, F2), "glued pair: f1 is not discretely concave"),
-    (GluedPair(F1, NOT_DC), "glued pair: f2 is not discretely concave"),
+    (GluedPair(NOT_DC, F2), "glued pair: f1 violates kind I at (0, 0)"),
+    (GluedPair(F1, NOT_DC), "glued pair: f2 violates kind I at (0, 0)"),
     (GluedPair(F1, Hive.zero(2)), "glued pair: hypotenuse of f1 and base of "
                                   "f2 disagree: (1, 0) vs (0, 0)"),
     (WallPair(W1, Hive.zero(3)), "wall pair: sizes differ"),
     (WallPair(W1.shift(1), W2), "wall pair: w1 is not normalized"),
     (WallPair(W1, W2.shift(1)), "wall pair: w2 is not normalized"),
-    (WallPair(NOT_DC, W2), "wall pair: w1 is not discretely concave"),
-    (WallPair(W1, NOT_DC), "wall pair: w2 is not discretely concave"),
+    (WallPair(NOT_DC, W2), "wall pair: w1 violates kind I at (0, 0)"),
+    (WallPair(W1, NOT_DC), "wall pair: w2 violates kind I at (0, 0)"),
     (WallPair(W1, Hive.zero(2)), "wall pair: base of w1 and left edge of w2 "
                                  "disagree: (2, 0) vs (0, 0)"),
+    (GluedPair(NOT_PARTITION, F2), "glued pair: f1 has left increments "
+                                   "(0, -1), not a partition"),
+    (WallPair(W1, NOT_PARTITION), "wall pair: w2 has left increments "
+                                  "(0, -1), not a partition"),
 ])
 def test_pair_validation_messages(pair, message):
     with pytest.raises(ValueError) as exc:
@@ -335,10 +341,12 @@ def test_diagnostics_octahedra_match_the_filtered_grid(monkeypatch):
     all four vertices are in the domain; the square cells and the p_mu face
     and p_nu wall points are read point by point."""
     rng = random.Random(20240612)
-    hives = [h for t in triple_universe(3, 2) for h in enumerate_hives(*t)]
+    pools = ([h for t in triple_universe(3, 2) for h in enumerate_hives(*t)],
+             enumerate_hives((3, 2, 1, 0), (3, 2, 1, 0), (4, 3, 3, 2)),
+             [p_mu((5, 4, 3, 2, 1))])  # n = 3, 4 and 5, drawn evenly
     checked = nonempty = nonempty_rhombi = nonempty_faces = 0
     while checked < 300:
-        h = rng.choice(hives)
+        h = rng.choice(rng.choice(pools))
         values = dict(half_octahedron_function(h))
         point = rng.choice(sorted(values))
         values[point] += rng.choice((-1, 1))

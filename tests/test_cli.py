@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 
 import pytest
@@ -129,6 +130,30 @@ def test_assoc_rejects_invalid_pair(tmp_path, capsys):
     assert main(["assoc", "forward", bad]) == 2
 
 
+NOT_DC = '{"n":2,"values":[[0,2,2],[1,4],[1]]}'
+NOT_PARTITION = '{"n":2,"values":[[0,0,0],[0,0],[-1]]}'  # DC, left (0, -1)
+F2 = '{"n":2,"values":[[0,1,1],[1,1],[1]]}'
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["commute"], NOT_DC,
+     "error: commute input violates kind I at (0, 0)"),
+    (["assoc", "forward"], '{"f1":%s,"f2":%s}' % (NOT_DC, F2),
+     "error: glued pair: f1 violates kind I at (0, 0)"),
+    # the glue agrees, hyp(f1) = base(f2) = (1, 0); only the left edge fails
+    (["assoc", "forward"], '{"f1":%s,"f2":%s}' % (NOT_PARTITION, F2),
+     "error: glued pair: f1 has left increments (0, -1), not a partition"),
+    (["assoc", "inverse"], '{"w1":%s,"w2":%s}' % (WORKED.strip(),
+                                                  NOT_PARTITION),
+     "error: wall pair: w2 has left increments (0, -1), not a partition"),
+], ids=["commute", "forward-not-dc", "forward-not-partition", "inverse"])
+def test_rejected_input_names_its_witness(argv, text, line, tmp_path, capsys):
+    path = write(tmp_path, "in.json", text + "\n")
+    assert main([*argv, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
 def test_commute_singleton(tmp_path, capsys):
     path = write(tmp_path, "h.json", '{"n":1,"values":[[0,3],[1]]}\n')
     assert main(["commute", path, "--check", "--canonical"]) == 0
@@ -178,6 +203,15 @@ def test_selfcheck_small(capsys):
                  "--random-cases", "5"]) == 0
     out = capsys.readouterr().out
     assert "selfcheck: PASS" in out and out.count("cases=") == 4
+
+
+def test_default_selfcheck_prints_the_pinned_report(capsys):
+    """Default selfcheck stdout equals, byte for byte, the report that the
+    benchmark pins in perfbench/expected_selfcheck.txt."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    expected = (root / "perfbench" / "expected_selfcheck.txt").read_text()
+    assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_selfcheck_degenerate(capsys):

@@ -19,8 +19,7 @@ from hives.bijections import (GluedPair, commutor,
 from hives.checks import glued_universe, random_glued_pairs
 from hives.enumeration import enumerate_glued_pairs
 from hives.grids import FaceChart, TetraPoint, tetra_points
-from hives.hive import (Hive, boundary, prefix_sums,
-                        require_dc_partition_boundary, validate_dc)
+from hives.hive import Hive, boundary, prefix_sums, require_dc, validate_dc
 from hives.octahedron import (check_polarized, extract_face,
                               inverse_propagate, propagate)
 
@@ -90,7 +89,7 @@ def reference_inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> Values3D:
 
 
 def reference_half_octahedron_function(h: Hive) -> Values3D:
-    require_dc_partition_boundary(h, "half_octahedron_function")
+    require_dc(h, "commute input")
     n = h.n
     smu = prefix_sums(boundary(h).left)
     values: dict[TetraPoint, int] = {}

@@ -1,5 +1,8 @@
+import re
+
+from hives.grids import rhombus
 from hives.hive import Hive
-from hives.render import render_hive_svg
+from hives.render import _pos, render_hive_svg
 
 
 def test_zero_hive_has_six_nodes():
@@ -22,6 +25,23 @@ def test_violation_highlight():
     svg = render_hive_svg(Hive(((0, 2, 2), (1, 4), (1,))))
     assert svg.count('<polygon class="bad"') == 1
     assert "kind I at (0, 0)" in svg
+
+
+def test_violation_polygons_are_the_rhombi():
+    """Each highlight has the four vertices of its rhombus, in cyclic order:
+    consecutive corners are joined by unit edges, never by a diagonal."""
+    h = Hive(((0, 0, 1), (0, 0), (1,)))  # kinds II and III at (0, 0)
+    svg = render_hive_svg(h)
+    polygons = re.findall(r'points="([^"]*)"><title>kind (\w+) at '
+                          r'\((\d+), (\d+)\)</title>', svg)
+    assert [kind for _, kind, _, _ in polygons] == ["II", "III"]
+    for points, kind, i, j in polygons:
+        rh = rhombus(kind, int(i), int(j))
+        where = {_pos(*v, h.n): v for v in rh.vertices()}
+        corners = [where[tuple(map(int, p.split(",")))] for p in points.split()]
+        assert sorted(corners) == sorted(rh.vertices())
+        for (a, b), (c, d) in zip(corners, corners[1:] + corners[:1]):
+            assert {(c - a, d - b), (a - c, b - d)} & {(1, 0), (0, 1), (1, -1)}
 
 
 def test_byte_determinism():
