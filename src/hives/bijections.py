@@ -16,15 +16,17 @@ discretely concave function on the top half of the octahedron inscribed in
 the tetrahedron of size 2n (the square pyramid with vertices XY, OY, OZ, XZ
 and apex YZ, i.e. the lattice points with y <= n, z <= n, y + z >= n,
 x + y + z <= 2n).  Two faces are prescribed: the ceiling face carries h and
-the y = n face carries the separable hive of mu.  The octahedron rule fills
-the rest; octahedra cut by the square base y + z = n lose their OX vertex,
-which degenerates the rule to the equality of the two surviving diagonal
-sums.  The z = n face, read from the apex, is a hive in DC(nu, mu; lam),
-and h -> commutor(h) is injective with equal counts on both sides: the
-commutativity bijection.
+the y = n face carries the separable hive of mu.  Octahedra cut by the
+square base y + z = n lose their OX vertex, which degenerates the rule to
+the equality of the two surviving diagonal sums: the base is separable,
+S^mu_x + S^nu_{n-y} up to a constant, and is written in that closed form.
+The octahedron rule fills the rest.  The z = n face, read from the apex,
+is a hive in DC(nu, mu; lam), and h -> commutor(h) is injective with equal
+counts on both sides: the commutativity bijection.
 
-The half-octahedron is filled as rows layers[z][y][x]; the commutor and its
-diagnostics read these rows, and :func:`half_octahedron_function` is their
+The half-octahedron is filled as rows layers[z][y][x], by the one solver
+of the rule in :mod:`hives.octahedron`; the commutor and its diagnostics
+read these rows, and :func:`half_octahedron_function` is their
 point -> value view.  The diagnostics run
 :func:`hives.octahedron.check_pcpm` on the size-2n function that holds these
 rows and zero elsewhere, and keep the section rhombi and octahedra with
@@ -94,8 +96,8 @@ def assoc_forward(pair: GluedPair) -> WallPair:
     pair.validate()
     t = propagate(pair.f1, pair.f2)
     n = t.n
-    w1 = extract_face(t, FaceChart.wall_x0(n))
-    w2 = extract_face(t, FaceChart.wall_y0(n))
+    w1 = extract_face(t, FaceChart.section_x(n, 0))
+    w2 = extract_face(t, FaceChart.section_y(n, 0))
     return WallPair(w1, w2)
 
 
@@ -105,7 +107,7 @@ def assoc_inverse(pair: WallPair) -> GluedPair:
     pair.validate()
     t = inverse_propagate(pair.w1, pair.w2)
     n = t.n
-    f1 = extract_face(t, FaceChart.ground(n))
+    f1 = extract_face(t, FaceChart.section_z(n, 0))
     f2 = extract_face(t, FaceChart.ceiling(n)).normalize()
     return GluedPair(f1, f2)
 
@@ -113,10 +115,13 @@ def assoc_inverse(pair: WallPair) -> GluedPair:
 def _half_octahedron_layers(h: Hive) -> list[list[list[int] | None]]:
     """The function of :func:`half_octahedron_function` as rows:
     layers[z][y][x] is its value at (x, y, z) for n - z <= y <= n (lower y
-    are None).  The ceiling face is the last entry of every row, the
-    y = n face is row n of every layer, and the rest is solved in place in
-    the forward order of :func:`hives.octahedron.propagate`: z ascending,
-    y descending, x descending.
+    are None).  The y = n face is row n of every layer.  The square base
+    y + z = n is in closed form: the degenerate rule makes its x-increments
+    those of row n, so T(x, y, n - y) = S^mu_x + S^nu_{n-y} up to a
+    constant, pinned by the ceiling value at x = n.  Every other row ends in
+    its ceiling value and is solved by the forward kernel of
+    :func:`hives.octahedron.propagate`: z ascending, y descending, x
+    descending.
     """
     n = h.n
     smu = prefix_sums(require_dc(h, "commute input").left)
@@ -125,16 +130,11 @@ def _half_octahedron_layers(h: Hive) -> list[list[list[int] | None]]:
         layer: list[list[int] | None] = [None] * (n + 1)
         layer[n] = list(smu[:n - z + 1])
         ceiling = h.rows[n - z]
-        for y in range(n - 1, n - z - 1, -1):
-            row = [0] * (2 * n - y - z) + [ceiling[n - y]]
-            below_next = layers[z - 1][y + 1]
-            if y + z == n:
-                for x in range(len(row) - 2, -1, -1):
-                    row[x] = below_next[x] + row[x + 1] - below_next[x + 1]
-            else:
-                _solve_row_forward(row, layers[z - 1][y], below_next,
-                                   layer[y + 1])
-            layer[y] = row
+        for y in range(n - 1, n - z, -1):
+            layer[y] = _solve_row_forward(ceiling[n - y], layers[z - 1][y],
+                                          layers[z - 1][y + 1], layer[y + 1])
+        if z:
+            layer[n - z] = [s + ceiling[z] - smu[n] for s in smu]
         layers.append(layer)
     return layers
 

@@ -161,8 +161,8 @@ def propagation(max_part: int, random_cases: int) -> SuiteResult:
         t = propagate(f1, f2)
         n = t.n
         failures += [f"{tag}: {line}" for line in check_pcpm(t).witnesses()]
-        w1 = extract_face(t, FaceChart.wall_x0(n))
-        w2 = extract_face(t, FaceChart.wall_y0(n))
+        w1 = extract_face(t, FaceChart.section_x(n, 0))
+        w2 = extract_face(t, FaceChart.section_y(n, 0))
         if inverse_propagate(w1, w2) != t:
             failures.append(f"{tag}: wall roundtrip failed")
         for p in interior_points(n):

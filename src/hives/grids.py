@@ -107,20 +107,8 @@ class FaceChart:
         return (ox + i * ax + j * bx, oy + i * ay + j * by, oz + i * az + j * bz)
 
     @classmethod
-    def ground(cls, n: int) -> "FaceChart":
-        return cls("ground", n, n, (0, 0, 0), (1, 0, 0), (0, 1, 0))
-
-    @classmethod
     def ceiling(cls, n: int) -> "FaceChart":
         return cls("ceiling", n, n, (0, n, 0), (1, -1, 0), (0, -1, 1))
-
-    @classmethod
-    def wall_x0(cls, n: int) -> "FaceChart":
-        return cls("wall_x0", n, n, (0, 0, 0), (0, 0, 1), (0, 1, 0))
-
-    @classmethod
-    def wall_y0(cls, n: int) -> "FaceChart":
-        return cls("wall_y0", n, n, (0, 0, 0), (1, 0, 0), (0, 0, 1))
 
     @classmethod
     def section_x(cls, n: int, a: int) -> "FaceChart":

@@ -7,23 +7,28 @@ the other two diagonal sums:
 
 A function satisfying this at every unit octahedron is *polarized*.  Given
 values on the ground face (z = 0) and the ceiling face (x + y + z = n) there
-is exactly one polarized completion, obtained by solving for OZ; given the
-two walls x = 0 and y = 0 the same rule solved for XY reconstructs the
-function, which is the inverse map.
+is exactly one polarized completion, obtained by solving for OZ.
 
-Both solves run in place on row lists ``layers[z][y][x]``, a fixed local
-schedule (Speyer, "Perfect matchings and the octahedron recurrence").  Each
-new value row[x] is read from rows that are already complete, or from the
-part of its own row already filled:
+One solver, :func:`_solve_row_forward`, solves the rule, in one order on
+row lists ``layers[z][y][x]`` (Speyer, "Perfect matchings and the
+octahedron recurrence"): z ascending, y descending, x descending.  T(x, y,
+z) is the OZ vertex of the octahedron based at (x, y, z - 1), and every
+other vertex lies in a row already complete or in the part of its own row
+already built.  Each of the three uses of the rule runs it:
 
-- forward (:func:`propagate`): z ascending, y descending, x descending;
-  T(x, y, z) is the OZ vertex of the octahedron based at (x, y, z - 1);
-- inverse (:func:`inverse_propagate`): y ascending, z descending, x
-  ascending; T(x, y, z) is the XY vertex of the octahedron based at
-  (x - 1, y - 1, z);
+- forward (:func:`propagate`): ground and ceiling are the two prescribed
+  adjoint faces, sharing edge XY;
+- inverse (:func:`inverse_propagate`): the walls x = 0 and y = 0, sharing
+  edge OZ, are the other pair.  The map (x, y, z) -> (n - x - y - z, z, y)
+  swaps the corners O <-> X and Y <-> Z and keeps the rule, since it maps
+  the OZ/XY diagonal pair to itself and swaps the other two; it takes wall
+  y = 0 to the ground and wall x = 0 to the ceiling, each row reversed, so
+  the inverse is the forward order read through the map;
 - half-octahedron (:func:`hives.bijections.half_octahedron_function`): the
   forward order on the top half of the octahedron inscribed in the size-2n
-  tetrahedron, with the degenerate rule on the square base y + z = n.
+  tetrahedron.  On its square base y + z = n the rule degenerates to
+  equal increments in x, so the base is in closed form: T(x, y, n - y) =
+  S^mu_x + S^nu_{n-y} up to a constant.
 
 A polarized function whose restriction to every cutting-plane section is
 discretely concave is called PCPM here; propagation from DC ground and
@@ -48,7 +53,7 @@ from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     cutting_sections)
 from .hive import Hive, validate_dc
 
-Rows = list[list[int]]
+Rows = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -107,21 +112,48 @@ def extract_face(t: TetraFunction, chart: FaceChart) -> Hive:
     return Hive(rows)
 
 
-def _solve_row_forward(row: list[int], below: Sequence[int],
+def _solve_row_forward(last: int, below: Sequence[int],
                        below_next: Sequence[int],
-                       beside: Sequence[int]) -> None:
-    """Fill row[x] for x descending from len(row) - 2, row[-1] being given,
-    as the OZ vertex of the octahedron based one level down:
+                       beside: Sequence[int]) -> list[int]:
+    """The row T(., y, z) ending in ``last``, each earlier value row[x] the
+    OZ vertex of the octahedron based one level down:
 
         row[x] = max(below[x + 1] + beside[x],
                      below_next[x] + row[x + 1]) - below_next[x + 1],
 
-    where row is T(., y, z), below is T(., y, z - 1), below_next is
-    T(., y + 1, z - 1) and beside is T(., y + 1, z)."""
-    for x in range(len(row) - 2, -1, -1):
+    where below is T(., y, z - 1), below_next is T(., y + 1, z - 1) and
+    beside is T(., y + 1, z).  The row is built from its end, x
+    descending, and reversed."""
+    row = [last]
+    prev, corner = last, below_next[-1]
+    for x in range(len(below_next) - 2, -1, -1):
         east = below[x + 1] + beside[x]
-        south = below_next[x] + row[x + 1]
-        row[x] = (east if east > south else south) - below_next[x + 1]
+        here = below_next[x]
+        south = here + prev
+        prev = (east if east > south else south) - corner
+        corner = here
+        row.append(prev)
+    row.reverse()
+    return row
+
+
+def _propagate_rows(ground_rows: Rows, ceiling_rows: Rows,
+                    c: int) -> list[Rows]:
+    """The rows layers[z][y] of the polarized function with ground rows
+    ``ground_rows`` and ceiling rows ``ceiling_rows`` shifted by c: z
+    ascending, y descending, each row solved by :func:`_solve_row_forward`
+    from its ceiling value."""
+    n = len(ground_rows) - 1
+    layers: list[Rows] = [ground_rows]
+    for z in range(1, n + 1):
+        below, top = layers[-1], ceiling_rows[z]
+        layer: list[Sequence[int]] = [()] * (n - z + 1)
+        layer[n - z] = [top[0] + c]
+        for y in range(n - z - 1, -1, -1):
+            layer[y] = _solve_row_forward(top[n - z - y] + c, below[y],
+                                          below[y + 1], layer[y + 1])
+        layers.append(layer)
+    return layers
 
 
 def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
@@ -130,9 +162,9 @@ def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
     The ceiling is installed shifted by c = ground(0, n) - ceiling(0, 0), so
     only the increments along the shared edge have to agree; ceiling(i, j)
     lands at (i, n - i - j, j), the last entry of row y = n - i - j of
-    layer z = j.  Interior points are solved in place, z ascending, y
-    descending, x descending, at which moment all five other octahedron
-    vertices are known.
+    layer z = j.  The rest is solved z ascending, y descending, x
+    descending, at which moment all five other octahedron vertices are
+    known.
     """
     n = ground.n
     if ceiling.n != n:
@@ -144,27 +176,18 @@ def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
                 "ground hypotenuse and ceiling base disagree: "
                 f"ground({i},{n - i}) = {ground[i, n - i]} but "
                 f"ceiling({i},0) + {c} = {ceiling[i, 0] + c}")
-    layers: list[Rows] = [[list(row) for row in ground.rows]]
-    for z in range(1, n + 1):
-        below, top = layers[-1], ceiling.rows[z]
-        layer: Rows = [[]] * (n - z + 1)
-        layer[n - z] = [top[0] + c]
-        for y in range(n - z - 1, -1, -1):
-            row = [0] * (n - z - y) + [top[n - z - y] + c]
-            _solve_row_forward(row, below[y], below[y + 1], layer[y + 1])
-            layer[y] = row
-        layers.append(layer)
-    return TetraFunction(layers)
+    return TetraFunction(_propagate_rows(ground.rows, ceiling.rows, c))
 
 
 def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
     """Reconstruction of a polarized function from its two walls.
 
     wall_x0 holds T(0, j, i) at (i, j) and wall_y0 holds T(i, 0, j); they
-    must agree on the shared edge x = y = 0.  Row y = 0 of every layer is
-    a row of wall_y0 and each row starts with a value of wall_x0; the rest
-    is solved in place by the propagation rule read backwards, y ascending,
-    z descending, x ascending.
+    must agree on the shared edge x = y = 0.  The map (x, y, z) ->
+    (n - x - y - z, z, y) keeps the octahedron rule and takes wall y = 0 to
+    the ground and wall x = 0 to the ceiling, each row reversed; so T read
+    through the map is the forward propagation of the reversed wall rows,
+    with no shift, and T is read back through the map.
     """
     n = wall_x0.n
     if wall_y0.n != n:
@@ -174,25 +197,10 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
             raise ValueError(
                 f"walls disagree on the shared edge at (0, 0, {k}): "
                 f"{wall_x0[k, 0]} vs {wall_y0[0, k]}")
-    layers: list[Rows] = [[list(wall_y0.rows[z])] + [[]] * (n - z)
-                          for z in range(n + 1)]
-    for y in range(1, n + 1):
-        wall = wall_x0.rows[y]
-        layers[n - y][y] = [wall[n - y]]
-        for z in range(n - y - 1, -1, -1):
-            # T(x, y, z) = max(T(x, y-1, z) + T(x-1, y, z+1),
-            #                  T(x-1, y, z) + T(x, y-1, z+1)) - T(x-1, y-1, z+1)
-            front, above, above_front = (layers[z][y - 1], layers[z + 1][y],
-                                         layers[z + 1][y - 1])
-            row = [wall[z]]
-            prev = row[0]
-            for x in range(1, n - z - y + 1):
-                a = front[x] + above[x - 1]
-                b = prev + above_front[x]
-                prev = (a if a > b else b) - above_front[x - 1]
-                row.append(prev)
-            layers[z][y] = row
-    return TetraFunction(layers)
+    swapped = _propagate_rows([r[::-1] for r in wall_y0.rows],
+                              [r[::-1] for r in wall_x0.rows], 0)
+    return TetraFunction([[swapped[y][z][::-1] for y in range(n - z + 1)]
+                          for z in range(n + 1)])
 
 
 def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:

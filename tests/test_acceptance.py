@@ -166,8 +166,8 @@ def test_criterion_7_roundtrip_and_uniqueness(exhaustive_tetras,
     perturbations = 0
     for t in exhaustive_tetras + random_tetras:
         n = t.n
-        w1 = extract_face(t, FaceChart.wall_x0(n))
-        w2 = extract_face(t, FaceChart.wall_y0(n))
+        w1 = extract_face(t, FaceChart.section_x(n, 0))
+        w2 = extract_face(t, FaceChart.section_y(n, 0))
         assert inverse_propagate(w1, w2) == t
         for point in interior_points(n):
             for delta in (1, -1):

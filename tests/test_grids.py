@@ -85,9 +85,8 @@ def test_section_rhombi_counts():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_chart_consistency(n):
     grid = set(tetra_points(n))
-    charts = [FaceChart.ground(n), FaceChart.ceiling(n),
-              FaceChart.wall_x0(n), FaceChart.wall_y0(n)]
-    charts += cutting_sections(n)
+    # the ground and the walls are the sections z = 0, x = 0 and y = 0
+    charts = [FaceChart.ceiling(n)] + cutting_sections(n)
     assert all(chart.size >= 2 for chart in cutting_sections(n))
     for a in (n - 1, n):  # the sections of size 1 and 0 hold no rhombus
         charts += [FaceChart.section_x(n, a), FaceChart.section_y(n, a),
@@ -100,10 +99,10 @@ def test_chart_consistency(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_shared_edges(n):
-    ground = FaceChart.ground(n)
+    ground = FaceChart.section_z(n, 0)
     ceiling = FaceChart.ceiling(n)
-    wx = FaceChart.wall_x0(n)
-    wy = FaceChart.wall_y0(n)
+    wx = FaceChart.section_x(n, 0)
+    wy = FaceChart.section_y(n, 0)
     for i in range(n + 1):
         # ground hypotenuse = ceiling base
         assert ground.point(i, n - i) == ceiling.point(i, 0)
@@ -120,9 +119,9 @@ def test_chart_corners():
     assert FaceChart.ceiling(n).point(0, 0) == (0, n, 0)      # Y
     assert FaceChart.ceiling(n).point(n, 0) == (n, 0, 0)      # X
     assert FaceChart.ceiling(n).point(0, n) == (0, 0, n)      # Z
-    assert FaceChart.wall_x0(n).point(n, 0) == (0, 0, n)      # Z
-    assert FaceChart.wall_x0(n).point(0, n) == (0, n, 0)      # Y
-    assert FaceChart.wall_y0(n).point(0, n) == (0, 0, n)      # Z
+    assert FaceChart.section_x(n, 0).point(n, 0) == (0, 0, n)  # Z
+    assert FaceChart.section_x(n, 0).point(0, n) == (0, n, 0)  # Y
+    assert FaceChart.section_y(n, 0).point(0, n) == (0, 0, n)  # Z
     assert chart_points(FaceChart.section_z(4, 4)) == [(0, 0, 4)]
 
 

@@ -70,12 +70,14 @@ def test_octahedron_rule_direct():
 def test_propagate_worked_example():
     t = worked_tetra()
     assert t[0, 0, 1] == 2
-    assert extract_face(t, FaceChart.ground(2)) == GROUND
+    assert extract_face(t, FaceChart.section_z(2, 0)) == GROUND
     # the ceiling comes back shifted by c = ground(0, n) - ceiling(0, 0) = 1
     ceil = extract_face(t, FaceChart.ceiling(2))
     assert ceil.normalize() == CEILING and ceil[0, 0] == 1
-    assert extract_face(t, FaceChart.wall_x0(2)).rows == ((0, 2, 2), (1, 2), (1,))
-    assert extract_face(t, FaceChart.wall_y0(2)).rows == ((0, 2, 2), (2, 2), (2,))
+    wall_x0 = extract_face(t, FaceChart.section_x(2, 0))
+    wall_y0 = extract_face(t, FaceChart.section_y(2, 0))
+    assert wall_x0.rows == ((0, 2, 2), (1, 2), (1,))
+    assert wall_y0.rows == ((0, 2, 2), (2, 2), (2,))
 
 
 def test_propagate_zero():
@@ -92,15 +94,18 @@ def test_propagate_rejects_mismatched_edge():
 
 def test_inverse_propagate_roundtrip_worked():
     t = worked_tetra()
-    w1 = extract_face(t, FaceChart.wall_x0(2))
-    w2 = extract_face(t, FaceChart.wall_y0(2))
+    w1 = extract_face(t, FaceChart.section_x(2, 0))
+    w2 = extract_face(t, FaceChart.section_y(2, 0))
     assert inverse_propagate(w1, w2) == t
 
 
 def test_inverse_propagate_rejects_mismatch():
     t = worked_tetra()
-    w1 = extract_face(t, FaceChart.wall_x0(2))
-    with pytest.raises(ValueError):
+    w1 = extract_face(t, FaceChart.section_x(2, 0))
+    with pytest.raises(ValueError, match=r"wall sizes 2 and 3 differ"):
+        inverse_propagate(w1, Hive.zero(3))
+    with pytest.raises(ValueError, match=r"walls disagree on the shared "
+                       r"edge at \(0, 0, 0\): 0 vs 1"):
         inverse_propagate(w1, Hive(((1, 2, 2), (2, 2), (2,))))
 
 
@@ -217,7 +222,7 @@ def test_section_z_top_is_single_point():
 
 def test_extract_face_size_mismatch():
     with pytest.raises(ValueError):
-        extract_face(worked_tetra(), FaceChart.ground(3))
+        extract_face(worked_tetra(), FaceChart.section_z(3, 0))
 
 
 def test_propagation_is_pcpm_exhaustive_small():
@@ -230,10 +235,10 @@ def test_propagation_is_pcpm_exhaustive_small():
 def test_roundtrip_and_uniqueness_over_universe():
     for t in universe_tetras()[:120]:
         n = t.n
-        w1 = extract_face(t, FaceChart.wall_x0(n))
-        w2 = extract_face(t, FaceChart.wall_y0(n))
+        w1 = extract_face(t, FaceChart.section_x(n, 0))
+        w2 = extract_face(t, FaceChart.section_y(n, 0))
         assert inverse_propagate(w1, w2) == t
-        g = extract_face(t, FaceChart.ground(n))
+        g = extract_face(t, FaceChart.section_z(n, 0))
         c = extract_face(t, FaceChart.ceiling(n))
         assert propagate(g, c.normalize()) == t
         for p in interior_points(n):

@@ -5,8 +5,9 @@ verbatim apart from returning their point -> value dicts: they solve the
 same rule point by point through a dict keyed by 3-tuples, in a different
 order (forward: z ascending, x + y + z descending; inverse: x + y
 ascending).  Every solved value must agree point for point, on small
-universes and on one DC glued pair per size n = 5..24 from a generator of
-this file.
+universes, on one DC glued pair per size n = 5..24 from a generator of
+this file, and on seeded integer faces and walls that are neither DC nor
+normalized.
 """
 
 import random
@@ -20,8 +21,8 @@ from hives.checks import glued_universe, random_glued_pairs
 from hives.enumeration import enumerate_glued_pairs
 from hives.grids import FaceChart, TetraPoint, tetra_points
 from hives.hive import Hive, boundary, prefix_sums, require_dc, validate_dc
-from hives.octahedron import (check_polarized, extract_face,
-                              inverse_propagate, propagate)
+from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
+                              extract_face, inverse_propagate, propagate)
 
 Values3D = dict[TetraPoint, int]
 
@@ -176,6 +177,42 @@ def small_pairs() -> list[tuple[Hive, Hive]]:
     return glued + randoms
 
 
+def _arbitrary_hive(rng: random.Random, n: int) -> list[list[int]]:
+    return [[rng.randint(-9, 9) for _ in range(n - j + 1)]
+            for j in range(n + 1)]
+
+
+def arbitrary_faces() -> list[tuple[Hive, Hive]]:
+    """Seeded ground/ceiling pairs of size n = 1..8 with entries in
+    [-9, 9], neither DC nor normalized, agreeing along the shared edge up
+    to an offset c != 0."""
+    rng = random.Random(f"{SEED}:faces")
+    pairs = []
+    for n in range(1, 9):
+        for _ in range(10):
+            ground = Hive(_arbitrary_hive(rng, n))
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            ceiling = _arbitrary_hive(rng, n)
+            ceiling[0] = [ground[i, n - i] - c for i in range(n + 1)]
+            pairs.append((ground, Hive(ceiling)))
+    return pairs
+
+
+def arbitrary_walls() -> list[tuple[Hive, Hive]]:
+    """Seeded wall pairs of size n = 1..8 with entries in [-9, 9], neither
+    DC nor normalized, agreeing on the shared edge x = y = 0."""
+    rng = random.Random(f"{SEED}:walls")
+    pairs = []
+    for n in range(1, 9):
+        for _ in range(10):
+            wall_x0 = Hive(_arbitrary_hive(rng, n))
+            wall_y0 = _arbitrary_hive(rng, n)
+            for k in range(n + 1):
+                wall_y0[k][0] = wall_x0[k, 0]
+            pairs.append((wall_x0, Hive(wall_y0)))
+    return pairs
+
+
 LARGE = [random_dc_glued_pair(random.Random(f"octahedron-reference:{n}"), n)
          for n in range(5, 25)]
 
@@ -190,8 +227,18 @@ def assert_same_function(t, values: Values3D) -> None:
 
 
 def walls(t):
-    return (extract_face(t, FaceChart.wall_x0(t.n)),
-            extract_face(t, FaceChart.wall_y0(t.n)))
+    return (extract_face(t, FaceChart.section_x(t.n, 0)),
+            extract_face(t, FaceChart.section_y(t.n, 0)))
+
+
+def through_map(t: TetraFunction) -> TetraFunction:
+    """t read through (x, y, z) -> (n - x - y - z, z, y), which swaps the
+    corners O <-> X and Y <-> Z and keeps the octahedron rule."""
+    n = t.n
+    return TetraFunction([[[t[n - x - y - z, z, y]
+                            for x in range(n - z - y + 1)]
+                           for y in range(n - z + 1)]
+                          for z in range(n + 1)])
 
 
 def test_row_solvers_match_references_on_small_pairs():
@@ -199,6 +246,7 @@ def test_row_solvers_match_references_on_small_pairs():
     for f1, f2 in small_pairs():
         t = propagate(f1, f2)
         assert_same_function(t, reference_propagate(f1, f2))
+        assert check_pcpm(through_map(t)).ok()
         w1, w2 = walls(t)
         assert_same_function(inverse_propagate(w1, w2),
                              reference_inverse_propagate(w1, w2))
@@ -206,6 +254,13 @@ def test_row_solvers_match_references_on_small_pairs():
     for h in hives:
         assert (half_octahedron_function(h)
                 == reference_half_octahedron_function(h)), h.rows
+    for ground, ceiling in arbitrary_faces():
+        t = propagate(ground, ceiling)
+        assert_same_function(t, reference_propagate(ground, ceiling))
+        assert check_polarized(through_map(t)) == []
+    for w1, w2 in arbitrary_walls():
+        assert_same_function(inverse_propagate(w1, w2),
+                             reference_inverse_propagate(w1, w2))
 
 
 @pytest.mark.parametrize("pair", LARGE, ids=lambda p: f"n{p.f1.n}")
@@ -229,7 +284,7 @@ def test_propagation_promises_up_to_n24(pair):
     n = f1.n
     t = propagate(f1, f2)
     assert check_polarized(t) == []
-    assert extract_face(t, FaceChart.ground(n)) == f1
+    assert extract_face(t, FaceChart.section_z(n, 0)) == f1
     shift = f1[0, n] - f2[0, 0]
     assert extract_face(t, FaceChart.ceiling(n)) == f2.shift(shift)
     w1, w2 = walls(t)
