@@ -18,6 +18,16 @@ boundary is fixed for the whole search, so the number of completions from
 row j on depends on the interior values of rows j-2 and j-1 alone: a
 transfer over pairs of rows, as for Gelfand-Tsetlin patterns.
 
+Before any search the boundary triple must pass the Weyl and dual Weyl
+inequalities, the cheapest of the Horn inequalities.  These are sound: a
+triple with a nonzero LR coefficient satisfies every Horn inequality
+(Knutson-Tao, "The honeycomb model of GL_n(C) tensor products I"; Fulton,
+"Eigenvalues, invariant factors, highest weights, and Schubert calculus"),
+so a triple failing them has no hive and is rejected unsearched; most zero
+triples fail them.  At n = 2 they are the whole Horn list, and they replace
+the check of the rhombi that lie on the boundary, which exist only there.
+brute_force_count and the tableau oracle apply no such filter.
+
 The number of hives found equals the Littlewood-Richardson coefficient of
 the boundary triple, which the test suite checks against the independent
 tableau oracle and against the unpruned brute_force_count.
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Callable
 
 from .grids import TriPoint, tri_points, unit_rhombi_2d
@@ -42,9 +53,7 @@ def _completion_plan(n: int):
     """The search plan for the interior of a size-n hive, over flat indices
     into canonical point order (tri_points(n)).
 
-    Returns (edge_checks, steps, row_slices, memo_keys):
-    - edge_checks: (c1, c2, f1, f2) for each rhombus whose four vertices lie
-      on the boundary, requiring v[c1] + v[c2] >= v[f1] + v[f2];
+    Returns (steps, row_slices, memo_keys):
     - steps: (p, lower, upper) for each interior point in canonical order,
       p being its flat index and lower and upper terms (a, b, c) meaning
       v[a] + v[b] - v[c] over points fixed earlier, the value being at
@@ -64,9 +73,6 @@ def _completion_plan(n: int):
                 if i >= 1 and j >= 1 and i + j <= n - 1]
     known = set(points) - set(interior)
     rhombi = unit_rhombi_2d(n)
-    edge_checks = tuple(tuple(index[q] for q in rh.vertices())
-                        for rh in rhombi
-                        if all(q in known for q in rh.vertices()))
     steps, memo_keys = [], []
     for p in interior:
         lower, upper = [], []
@@ -89,7 +95,7 @@ def _completion_plan(n: int):
         memo_keys.append(tuple(index[q] for q in interior
                                if j - 2 <= q[1] < j) if i == 1 else None)
         known.add(p)
-    return edge_checks, tuple(steps), row_slices, tuple(memo_keys)
+    return tuple(steps), row_slices, tuple(memo_keys)
 
 
 def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
@@ -105,6 +111,20 @@ def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
     return values
 
 
+def _weyl_feasible(mu: Partition, nu: Partition, lam: Partition) -> bool:
+    """Whether partitions of one length n, 0-indexed, satisfy the Weyl
+    inequalities lam[i + j] <= mu[i] + nu[j] and the dual Weyl
+    inequalities lam[i + j - n + 1] >= mu[i] + nu[j], the two cheapest
+    families of Horn inequalities.  False proves c(mu, nu; lam) = 0 (see
+    the module docstring); True proves nothing for n >= 3.
+    """
+    for k, x in enumerate(lam):
+        if (x > min(map(add, mu[:k + 1], nu[k::-1]))
+                or x < max(map(add, mu[k:], nu[k:][::-1]))):
+            return False
+    return True
+
+
 def _search_start(mu: Partition, nu: Partition, lam: Partition):
     """(values, plan) for the search over DC(mu, nu; lam), or None when that
     set is empty for a reason visible on the boundary.
@@ -112,12 +132,17 @@ def _search_start(mu: Partition, nu: Partition, lam: Partition):
     values is the flat value list in canonical point order with the
     boundary filled in and 0 at interior points.  Arguments are zero-padded
     to a common length n; None means some argument is not a partition, the
-    weights do not balance, or a rhombus on the boundary is violated.
+    weights do not balance, or the triple fails the Weyl or dual Weyl
+    inequalities (_weyl_feasible), as no triple with a nonzero LR
+    coefficient does.  At n = 2 these are the whole Horn list and decide
+    emptiness; they replace a check of the rhombi whose four vertices lie
+    on the boundary, which exist only at n = 2.
     """
     n = max(len(mu), len(nu), len(lam), 1)
     mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
-    bt = BoundaryTriple(mu, nu, lam)
-    if not bt.is_partition_triple() or not bt.weights_balance():
+    if (not (is_partition(mu) and is_partition(nu) and is_partition(lam))
+            or sum(mu) + sum(nu) != sum(lam)
+            or not _weyl_feasible(mu, nu, lam)):
         return None
     smu, snu = prefix_sums(mu), prefix_sums(nu)
     values = list(prefix_sums(lam))
@@ -126,11 +151,7 @@ def _search_start(mu: Partition, nu: Partition, lam: Partition):
         if j < n:
             values.extend([0] * (n - j - 1))
             values.append(smu[n] + snu[n - j])
-    plan = _completion_plan(n)
-    for c1, c2, f1, f2 in plan[0]:
-        if values[c1] + values[c2] < values[f1] + values[f2]:
-            return None
-    return values, plan
+    return values, _completion_plan(n)
 
 
 def enumerate_hives(mu: Partition, nu: Partition,
@@ -145,7 +166,7 @@ def enumerate_hives(mu: Partition, nu: Partition,
     start = _search_start(mu, nu, lam)
     if start is None:
         return ()
-    values, (_, steps, row_slices, _) = start
+    values, (steps, row_slices, _) = start
     members: list[Hive] = []
 
     def extend(k: int) -> None:
@@ -174,7 +195,7 @@ def count_hives(mu: Partition, nu: Partition, lam: Partition) -> int:
     start = _search_start(mu, nu, lam)
     if start is None:
         return 0
-    values, (_, steps, _, memo_keys) = start
+    values, (steps, _, memo_keys) = start
     if not steps:
         return 1
     last = len(steps) - 1

@@ -1,9 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
 from hives import enumeration
-from hives.checks import triple_universe
+from hives.checks import partitions_upto, triple_universe
 from hives.enumeration import (brute_force_count, count_glued_pairs,
                                count_hives, count_wall_pairs,
                                enumerate_glued_pairs, enumerate_hives,
@@ -98,6 +99,66 @@ def test_plan_rejects_an_unbounded_point(monkeypatch):
                         lambda n: only_ii_iii)
     with pytest.raises(RuntimeError, match="no upper bound"):
         enumeration._completion_plan.__wrapped__(4)
+
+
+def _weyl_rejected(cases):
+    return [t for t in cases if not enumeration._weyl_feasible(*t)]
+
+
+def test_boundary_filter_decides_n2():
+    # At n = 2 the Weyl and dual Weyl inequalities are the whole Horn list,
+    # and the search has no interior point, so the filter alone decides.
+    # lam_1 runs up to 12 = mu_1 + nu_1, beyond which Weyl rejects at once.
+    ps = partitions_upto(2, 6)
+    cases = [(mu, nu, pad(lam, 2)) for mu, nu in product(ps, repeat=2)
+             for lam in partitions_in_box(sum(mu) + sum(nu), 2, 12)]
+    assert len(cases) == 3956
+    for mu, nu, lam in cases:
+        assert ((enumeration._search_start(mu, nu, lam) is None)
+                == (lr_coefficient(mu, nu, lam) == 0)), (mu, nu, lam)
+
+
+def _random_triple(rng: random.Random, n: int):
+    """mu and nu with n parts in [0, n - 2], and lam a partition of their
+    total weight into n parts cut at n - 1 random points."""
+    mu, nu = (tuple(sorted((rng.randint(0, n - 2) for _ in range(n)),
+                           reverse=True)) for _ in range(2))
+    weight = sum(mu) + sum(nu)
+    cuts = sorted(rng.randint(0, weight) for _ in range(n - 1))
+    lam = sorted((b - a for a, b in zip([0, *cuts], [*cuts, weight])),
+                 reverse=True)
+    return mu, nu, tuple(lam)
+
+
+def test_boundary_filter_rejects_only_zero_coefficients():
+    rng = random.Random(13)
+    cases = [_random_triple(rng, 6 + k % 3) for k in range(3000)]
+    rejected = _weyl_rejected(cases)
+    assert len(rejected) > 2000
+    for t in rejected:
+        assert lr_coefficient(*t) == 0, t
+    rejected = _weyl_rejected(triple_universe(3, 2))
+    assert len(rejected) == 190
+    for t in rejected:
+        assert brute_force_count(*t) == 0, t
+
+
+def test_search_finds_no_hive_where_the_filter_rejects(monkeypatch):
+    rejected = _weyl_rejected(triple_universe(4, 2))
+    assert rejected
+    monkeypatch.setattr(enumeration, "_weyl_feasible", lambda *t: True)
+    for t in rejected:
+        assert count_hives(*t) == 0, t
+
+
+@pytest.mark.parametrize("n, max_part, zeros, rejected", [
+    (3, 3, 1640, 1640), (4, 2, 803, 798), (5, 2, 2579, 2546)])
+def test_boundary_filter_reach(n, max_part, zeros, rejected):
+    # Pinned so that a weaker filter, which would give back the speed of
+    # rejecting zero triples unsearched, fails here.
+    cases = triple_universe(n, max_part)
+    assert sum(lr_coefficient(*t) == 0 for t in cases) == zeros
+    assert len(_weyl_rejected(cases)) == rejected
 
 
 def test_oracle_equivalence_small_box():

@@ -37,7 +37,7 @@ def workloads():
 
 
 @pytest.mark.parametrize("workload, count", [
-    ("lr-count", 20), ("schur-expand", 10), ("octahedron-maps", 13)])
+    ("lr-count", 300), ("schur-expand", 10), ("octahedron-maps", 13)])
 def test_workload_checks_pass(workloads, workload, count):
     """The first inputs of seed 1, each run by the workload's operation and
     passed by its check."""
