@@ -18,15 +18,19 @@ boundary is fixed for the whole search, so the number of completions from
 row j on depends on the interior values of rows j-2 and j-1 alone: a
 transfer over pairs of rows, as for Gelfand-Tsetlin patterns.
 
-Before any search the boundary triple must pass the Weyl and dual Weyl
-inequalities, the cheapest of the Horn inequalities.  These are sound: a
+Every search, the reference count and each coproduct term start from one
+gate, _padded_triple: the three arguments, zero-padded to a common
+length, must be partitions whose weights balance.  Before any search the
+triple must also pass the Weyl and dual Weyl inequalities, the cheapest
+of the Horn inequalities.  These are sound: a
 triple with a nonzero LR coefficient satisfies every Horn inequality
 (Knutson-Tao, "The honeycomb model of GL_n(C) tensor products I"; Fulton,
 "Eigenvalues, invariant factors, highest weights, and Schubert calculus"),
 so a triple failing them has no hive and is rejected unsearched; most zero
 triples fail them.  At n = 2 they are the whole Horn list, and they replace
 the check of the rhombi that lie on the boundary, which exist only there.
-brute_force_count and the tableau oracle apply no such filter.
+brute_force_count shares the gate but not this filter, and the tableau
+oracle applies neither.
 
 The number of hives found equals the Littlewood-Richardson coefficient of
 the boundary triple, which the test suite checks against the independent
@@ -40,9 +44,8 @@ from itertools import product
 from operator import add
 from typing import Callable
 
-from .grids import TriPoint, tri_points, unit_rhombi_2d
-from .hive import (BoundaryTriple, Hive, Partition, is_partition, pad,
-                   prefix_sums)
+from .grids import tri_points, unit_rhombi_2d
+from .hive import Hive, Partition, is_partition, pad, prefix_sums
 from .tableaux import partitions_in_box
 
 Triple = tuple[Partition, Partition, Partition]
@@ -98,16 +101,32 @@ def _completion_plan(n: int):
     return tuple(steps), row_slices, tuple(memo_keys)
 
 
-def _boundary_values(mu: Partition, nu: Partition, lam: Partition,
-                     n: int) -> dict[TriPoint, int]:
-    smu, snu, slam = prefix_sums(pad(mu, n)), prefix_sums(pad(nu, n)), \
-        prefix_sums(pad(lam, n))
-    values: dict[TriPoint, int] = {}
-    for j in range(n + 1):
-        values[(0, j)] = smu[j]
-    for i in range(n + 1):
-        values[(i, n - i)] = smu[n] + snu[i]
-        values[(i, 0)] = slam[i]
+def _padded_triple(mu: Partition, nu: Partition,
+                   lam: Partition) -> Triple | None:
+    """(mu, nu, lam) zero-padded to a common length n >= 1, or None when
+    some argument is not a partition or sum(mu) + sum(nu) != sum(lam): the
+    boundary triples for which DC(mu, nu; lam) may be nonempty."""
+    n = max(len(mu), len(nu), len(lam), 1)
+    mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
+    if (is_partition(mu) and is_partition(nu) and is_partition(lam)
+            and sum(mu) + sum(nu) == sum(lam)):
+        return mu, nu, lam
+    return None
+
+
+def _boundary_values(mu: Partition, nu: Partition,
+                     lam: Partition) -> list[int]:
+    """The values of a normalized hive with boundary increments mu, nu,
+    lam, all of one length n, in canonical point order (tri_points(n)),
+    with 0 at interior points."""
+    n = len(lam)
+    smu, snu = prefix_sums(mu), prefix_sums(nu)
+    values = list(prefix_sums(lam))
+    for j in range(1, n + 1):
+        values.append(smu[j])
+        if j < n:
+            values.extend([0] * (n - j - 1))
+            values.append(smu[n] + snu[n - j])
     return values
 
 
@@ -129,29 +148,17 @@ def _search_start(mu: Partition, nu: Partition, lam: Partition):
     """(values, plan) for the search over DC(mu, nu; lam), or None when that
     set is empty for a reason visible on the boundary.
 
-    values is the flat value list in canonical point order with the
-    boundary filled in and 0 at interior points.  Arguments are zero-padded
-    to a common length n; None means some argument is not a partition, the
-    weights do not balance, or the triple fails the Weyl or dual Weyl
-    inequalities (_weyl_feasible), as no triple with a nonzero LR
+    values is _boundary_values of the triple zero-padded to a common length
+    n.  None means the triple fails _padded_triple, or it fails the Weyl or
+    dual Weyl inequalities (_weyl_feasible), as no triple with a nonzero LR
     coefficient does.  At n = 2 these are the whole Horn list and decide
     emptiness; they replace a check of the rhombi whose four vertices lie
     on the boundary, which exist only at n = 2.
     """
-    n = max(len(mu), len(nu), len(lam), 1)
-    mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
-    if (not (is_partition(mu) and is_partition(nu) and is_partition(lam))
-            or sum(mu) + sum(nu) != sum(lam)
-            or not _weyl_feasible(mu, nu, lam)):
+    triple = _padded_triple(mu, nu, lam)
+    if triple is None or not _weyl_feasible(*triple):
         return None
-    smu, snu = prefix_sums(mu), prefix_sums(nu)
-    values = list(prefix_sums(lam))
-    for j in range(1, n + 1):
-        values.append(smu[j])
-        if j < n:
-            values.extend([0] * (n - j - 1))
-            values.append(smu[n] + snu[n - j])
-    return values, _completion_plan(n)
+    return _boundary_values(*triple), _completion_plan(len(triple[2]))
 
 
 def enumerate_hives(mu: Partition, nu: Partition,
@@ -235,15 +242,15 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
     "III"); this deliberately breaks the count and exists so that the
     self-check harness can prove it would catch such a fault.
     """
-    n = max(len(mu), len(nu), len(lam), 1)
-    mu, nu, lam = pad(mu, n), pad(nu, n), pad(lam, n)
-    bt = BoundaryTriple(mu, nu, lam)
-    if not bt.is_partition_triple() or not bt.weights_balance():
+    triple = _padded_triple(mu, nu, lam)
+    if triple is None:
         return 0
-    values = _boundary_values(mu, nu, lam, n)
+    n = len(triple[2])
+    values = dict(zip(tri_points(n), _boundary_values(*triple)))
     lo = min(values.values())
     # A DC value is at least the boundary minimum and at most
-    # f(0, j) + f(i, 0) - f(0, 0), so this window loses nothing.
+    # f(0, j) + f(i, 0) - f(0, 0), so this window loses nothing; the
+    # interior zeros move neither end, as f(0, 0) = 0 is on the boundary.
     hi = 2 * max(values.values()) - lo
     interior = [(i, j) for (i, j) in tri_points(n)
                 if i >= 1 and j >= 1 and i + j <= n - 1]
@@ -266,7 +273,6 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
         for v in range(lo, hi + 1):
             values[p] = v
             fill(k + 1)
-            del values[p]
 
     fill(0)
     return count
@@ -283,19 +289,17 @@ def _coproduct_terms(parts: tuple[Partition, ...], inner: slice,
     the glue is the product of the pair parts[inner], so g runs over the
     partitions of that pair's weight with at most n parts, each at most
     lam_1 and the sum of the pair's first parts, in descending lex order.
-    There are no terms when any argument is not a partition or
-    sum(mu) + sum(pi) + sum(sigma) differs from sum(lam).
+    Every argument lies in first or second, and each of them balances
+    exactly when sum(mu) + sum(pi) + sum(sigma) == sum(lam); so when some
+    argument is not a partition or the weights do not balance, every term
+    fails _padded_triple and the coproduct is empty with no check here.
     """
     n = max(*map(len, parts), 1)
     parts = tuple(pad(t, n) for t in parts)
-    mu, pi, sigma, lam = parts
-    if (not all(is_partition(t) for t in parts)
-            or sum(mu) + sum(pi) + sum(sigma) != sum(lam)):
-        return []
     a, b = parts[inner]
     return [factors(*parts, pad(g, n))
             for g in partitions_in_box(sum(a) + sum(b), n,
-                                       min(lam[0], a[0] + b[0]))]
+                                       min(parts[3][0], a[0] + b[0]))]
 
 
 def _coproduct(terms: list[tuple[Triple, Triple]]) -> list[tuple[Hive, Hive]]:

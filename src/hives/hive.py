@@ -12,12 +12,10 @@ increments nu and base increments lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .grids import UnitRhombus2D, rhombus
 
 Partition = tuple[int, ...]
-IncrementTuple = tuple[int, ...]
 
 
 def is_partition(t: tuple[int, ...]) -> bool:
@@ -40,6 +38,26 @@ def prefix_sums(t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _triangle_rows(rows, label: str) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of int tuples of lengths n + 1, n, ..., 1, where n =
+    len(rows) - 1; otherwise a ValueError naming the first row that has
+    the wrong length or, failing that, the first entry that is not an int,
+    the row j being called label.format(j)."""
+    rows = tuple(map(tuple, rows))
+    if not rows:
+        raise ValueError("a hive needs at least one row")
+    n = len(rows) - 1
+    for j, row in enumerate(rows):
+        if len(row) != n - j + 1:
+            raise ValueError(f"{label.format(j)} has {len(row)} entries, "
+                             f"expected {n - j + 1}")
+    for j, row in enumerate(rows):
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"{label.format(j)} holds {v!r}, not an int")
+    return rows
+
+
 @dataclass(frozen=True)
 class Hive:
     """An integer function on the 2D grid; immutable and hashable."""
@@ -47,20 +65,7 @@ class Hive:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("a hive needs at least one row")
-        n = len(rows) - 1
-        for j, row in enumerate(rows):
-            if len(row) != n - j + 1:
-                raise ValueError(
-                    f"row {j} has {len(row)} entries, expected {n - j + 1}")
-        if set(map(type, chain.from_iterable(rows))) != {int}:
-            for j, row in enumerate(rows):
-                for v in row:
-                    if type(v) is not int:
-                        raise ValueError(f"row {j} holds {v!r}, not an int")
+        object.__setattr__(self, "rows", _triangle_rows(self.rows, "row {}"))
 
     @property
     def n(self) -> int:
@@ -94,15 +99,9 @@ class Hive:
 class BoundaryTriple:
     """Boundary increments (left edge O->Y, hypotenuse Y->X, base O->X)."""
 
-    left: IncrementTuple
-    hyp: IncrementTuple
-    base: IncrementTuple
-
-    def is_partition_triple(self) -> bool:
-        return all(is_partition(t) for t in (self.left, self.hyp, self.base))
-
-    def weights_balance(self) -> bool:
-        return sum(self.left) + sum(self.hyp) == sum(self.base)
+    left: tuple[int, ...]
+    hyp: tuple[int, ...]
+    base: tuple[int, ...]
 
 
 def rhombus_slack(h: Hive, rh: UnitRhombus2D) -> int:

@@ -46,12 +46,11 @@ the half-octahedron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     cutting_sections)
-from .hive import Hive, validate_dc
+from .hive import Hive, _triangle_rows, validate_dc
 
 Rows = Sequence[Sequence[int]]
 
@@ -63,27 +62,16 @@ class TetraFunction:
     layers: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        layers = tuple(tuple(map(tuple, layer)) for layer in self.layers)
-        object.__setattr__(self, "layers", layers)
+        layers = tuple(map(tuple, self.layers))
         if not layers:
             raise ValueError("a tetra function needs at least one layer")
-        n = len(layers) - 1
+        n, checked = len(layers) - 1, []
         for z, layer in enumerate(layers):
             if len(layer) != n - z + 1:
                 raise ValueError(f"layer z={z} has {len(layer)} rows, "
                                  f"expected {n - z + 1}")
-            for y, row in enumerate(layer):
-                if len(row) != n - z - y + 1:
-                    raise ValueError(f"row y={y} of layer z={z} has "
-                                     f"{len(row)} entries, expected {n - z - y + 1}")
-        entries = chain.from_iterable(chain.from_iterable(layers))
-        if set(map(type, entries)) != {int}:
-            for z, layer in enumerate(layers):
-                for y, row in enumerate(layer):
-                    for v in row:
-                        if type(v) is not int:
-                            raise ValueError(f"row y={y} of layer z={z} "
-                                             f"holds {v!r}, not an int")
+            checked.append(_triangle_rows(layer, f"row y={{}} of layer z={z}"))
+        object.__setattr__(self, "layers", tuple(checked))
 
     @property
     def n(self) -> int:

@@ -203,11 +203,52 @@ def test_glued_pairs_definitional_count():
         assert boundary(f1).hyp == boundary(f2).base
 
 
+@pytest.mark.parametrize("mu, nu, lam", [
+    ((1, 2), (1, 0), (2, 2)),   # mu not a partition
+    ((1, 0), (0, 1), (1, 1)),   # nu not a partition
+    ((1, 0), (1, 0), (0, 2)),   # lam not a partition
+    ((2, -1), (1, 0), (2, 0)),  # a negative part in mu
+    ((1, 0), (2, -1), (2, 0)),  # a negative part in nu
+    ((1, 0), (1, 0), (3, 0)),   # unbalanced weights
+    ((1, 0), (1, 0), (1, 0)),   # unbalanced, yet Weyl-feasible
+])
+def test_malformed_triples_have_no_hive(mu, nu, lam):
+    assert count_hives(mu, nu, lam) == 0
+    assert enumerate_hives(mu, nu, lam) == ()
+    assert brute_force_count(mu, nu, lam) == 0
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (0, 1), (2, -1)])
+@pytest.mark.parametrize("position", range(4))
+def test_coproducts_of_a_non_partition_are_empty(bad, position):
+    """bad at each place of (mu, pi, sigma, lam), the other three being
+    partitions chosen so that the weights balance."""
+    parts = [(1, 0)] * 3
+    if position == 3:
+        parts = [(1, 0) if k < sum(bad) else (0, 0) for k in range(3)]
+        parts.append(bad)
+    else:
+        parts[position] = bad
+        w = sum(bad) + 2
+        parts.append(((w + 1) // 2, w // 2))
+    mu, pi, sigma, lam = parts
+    assert enumerate_glued_pairs(mu, lam, pi, sigma) == []
+    assert count_glued_pairs(mu, lam, pi, sigma) == 0
+    assert enumerate_wall_pairs(mu, pi, sigma, lam) == []
+    assert count_wall_pairs(mu, pi, sigma, lam) == 0
+
+
 def test_glued_pairs_weight_mismatch_empty():
     assert enumerate_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
     assert enumerate_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
     assert count_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
     assert count_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
+    # a term of each passes the Weyl inequalities: only the balance test
+    # empties these
+    assert enumerate_glued_pairs((1, 0), (2, 0), (1, 0), (1, 0)) == []
+    assert enumerate_wall_pairs((1, 0), (1, 0), (1, 0), (2, 0)) == []
+    assert count_glued_pairs((1, 0), (2, 0), (1, 0), (1, 0)) == 0
+    assert count_wall_pairs((1, 0), (1, 0), (1, 0), (2, 0)) == 0
 
 
 def test_coproduct_cardinalities_agree():

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 import runpy
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 from hives.checks import triple_universe
 from hives.enumeration import enumerate_hives
 from hives.grids import tri_points, unit_rhombi_2d
-from hives.hive import (Hive, boundary, p_mu, prefix_sums, rhombus_slack,
-                        validate_dc)
+from hives.hive import (Hive, boundary, is_partition, p_mu, prefix_sums,
+                        rhombus_slack, validate_dc)
 
 WORKED = Hive(((0, 2, 2), (1, 2), (1,)))
 
@@ -19,22 +20,26 @@ ground_function = runpy.run_path(
         / "explore_commutor_geometry.py"))["ground_function"]
 
 
+def _raises_exactly(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 def test_hive_shape_validation():
-    with pytest.raises(ValueError):
+    with _raises_exactly("row 1 has 2 entries, expected 1"):
         Hive(((0, 1), (2, 3)))
     h = Hive.build(2, lambda i, j: i + j)
     assert h[2, 0] == 2 and h[0, 2] == 2
     assert tuple(h[p] for p in tri_points(2)) == (0, 1, 2, 1, 2, 2)
 
 
-@pytest.mark.parametrize("rows", [
-    (),                          # no rows: size -1
-    ((0, 1.7), (1,)),            # a float entry
-    ((True, 1), (1,)),           # a bool entry
-    ((0, "1"), (1,)),            # a string entry
-])
-def test_hive_rejects_non_integer_entries_and_empty_rows(rows):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("rows, message", [
+    ((), "a hive needs at least one row"),  # no rows: size -1
+    (((0, 1.7), (1,)), "row 0 holds 1.7, not an int"),
+    (((True, 1), (1,)), "row 0 holds True, not an int"),
+    (((0, "1"), (1,)), "row 0 holds '1', not an int"),
+], ids=[f"rows{k}" for k in range(4)])
+def test_hive_rejects_non_integer_entries_and_empty_rows(rows, message):
+    with _raises_exactly(message):
         Hive(rows)
 
 
@@ -83,7 +88,8 @@ def test_validate_dc_matches_the_rhombus_list():
 def test_boundary_examples():
     b = boundary(WORKED)
     assert (b.left, b.hyp, b.base) == ((1, 0), (1, 0), (2, 0))
-    assert b.weights_balance() and b.is_partition_triple()
+    assert all(map(is_partition, (b.left, b.hyp, b.base)))
+    assert sum(b.left) + sum(b.hyp) == sum(b.base)
     z = boundary(Hive.zero(3))
     assert z.left == z.hyp == z.base == (0, 0, 0)
 
@@ -92,7 +98,7 @@ def test_boundary_nonincreasing_for_dc():
     for mu, nu, lam in [((2, 1), (2, 1), (3, 2, 1)), ((2, 2), (1, 1), (3, 3))]:
         for h in enumerate_hives(mu, nu, lam):
             b = boundary(h)
-            assert b.is_partition_triple()
+            assert all(map(is_partition, (b.left, b.hyp, b.base)))
             assert sum(b.left) + sum(b.hyp) == sum(b.base)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -39,20 +40,31 @@ def universe_tetras(max_entry=2):
             for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma)]
 
 
+def _raises_exactly(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 def test_tetra_function_shape():
     t = tetra(2, lambda x, y, z: x + 2 * y + 4 * z)
     assert t.n == 2 and t[1, 1, 0] == 3 and t[0, 0, 2] == 8
-    with pytest.raises(ValueError):
-        TetraFunction((((0, 0),), ((0,),)))  # rows of layer z=0 are too short
+    with _raises_exactly("layer z=0 has 1 rows, expected 2"):
+        TetraFunction((((0, 0),), ((0,),)))
+    with _raises_exactly("row y=0 of layer z=0 has 1 entries, expected 2"):
+        TetraFunction((((0,), (0,)), ((0,),)))
+    with _raises_exactly("row y=0 of layer z=1 has 2 entries, expected 1"):
+        TetraFunction((((0, 0), (0,)), ((0, 1),)))
 
 
-@pytest.mark.parametrize("layers", [
-    (),                                      # no layers: size -1
-    (((0, 0.5), (0,)), ((0,),)),             # a float entry
-    (((0, 0), (False,)), ((0,),)),           # a bool entry
-])
-def test_tetra_function_rejects_non_integer_entries_and_empty_layers(layers):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("layers, message", [
+    ((), "a tetra function needs at least one layer"),  # no layers: size -1
+    ((((0, 0.5), (0,)), ((0,),)),
+     "row y=0 of layer z=0 holds 0.5, not an int"),
+    ((((0, 0), (False,)), ((0,),)),
+     "row y=1 of layer z=0 holds False, not an int"),
+], ids=[f"layers{k}" for k in range(3)])
+def test_tetra_function_rejects_non_integer_entries_and_empty_layers(
+        layers, message):
+    with _raises_exactly(message):
         TetraFunction(layers)
 
 
