@@ -34,7 +34,9 @@ oracle applies neither.
 
 The number of hives found equals the Littlewood-Richardson coefficient of
 the boundary triple, which the test suite checks against the independent
-tableau oracle and against the unpruned brute_force_count.
+tableau oracle and against the unpruned brute_force_count.  Each coproduct
+term is its two boundary triples, one per glue partition from _glues, the
+one home of the glue rule.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Callable
 
 from .grids import tri_points, unit_rhombi_2d
 from .hive import Hive, Partition, is_partition, pad, prefix_sums
@@ -278,30 +279,6 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
     return count
 
 
-def _coproduct_terms(parts: tuple[Partition, ...], inner: slice,
-                     factors: Callable[..., tuple[Triple, Triple]]
-                     ) -> list[tuple[Triple, Triple]]:
-    """The boundary triples (first, second) = factors(mu, pi, sigma, lam, g)
-    of a coproduct, one per glue partition g; its pairs are those of
-    DC(*first) x DC(*second).
-
-    parts is (mu, pi, sigma, lam), zero-padded here to a common length n;
-    the glue is the product of the pair parts[inner], so g runs over the
-    partitions of that pair's weight with at most n parts, each at most
-    lam_1 and the sum of the pair's first parts, in descending lex order.
-    Every argument lies in first or second, and each of them balances
-    exactly when sum(mu) + sum(pi) + sum(sigma) == sum(lam); so when some
-    argument is not a partition or the weights do not balance, every term
-    fails _padded_triple and the coproduct is empty with no check here.
-    """
-    n = max(*map(len, parts), 1)
-    parts = tuple(pad(t, n) for t in parts)
-    a, b = parts[inner]
-    return [factors(*parts, pad(g, n))
-            for g in partitions_in_box(sum(a) + sum(b), n,
-                                       min(parts[3][0], a[0] + b[0]))]
-
-
 def _coproduct(terms: list[tuple[Triple, Triple]]) -> list[tuple[Hive, Hive]]:
     """The pairs of every term, by term, then by member order."""
     pairs: list[tuple[Hive, Hive]] = []
@@ -322,18 +299,38 @@ def _coproduct_size(terms: list[tuple[Triple, Triple]]) -> int:
     return total
 
 
+def _glues(a: Partition, b: Partition, lam: Partition) -> list[Partition]:
+    """The glues of a product a * b inside lam, all three of one length n:
+    the partitions of sum(a) + sum(b) with at most n parts, each at most
+    min(lam_1, a_1 + b_1), zero-padded to n, in descending lex order."""
+    n = len(lam)
+    return [pad(g, n) for g in partitions_in_box(sum(a) + sum(b), n,
+                                                 min(lam[0], a[0] + b[0]))]
+
+
 def _glued_terms(mu: Partition, lam: Partition, pi: Partition,
                  sigma: Partition) -> list[tuple[Triple, Triple]]:
-    return _coproduct_terms((mu, pi, sigma, lam), slice(1, 3),
-                            lambda mu, pi, sigma, lam, g: ((mu, g, lam),
-                                                           (pi, sigma, g)))
+    """((mu, g, lam), (pi, sigma, g)) for each glue g of pi * sigma, on the
+    arguments zero-padded to a common length.
+
+    Every argument lies in one of the two triples, and both balance exactly
+    when sum(mu) + sum(pi) + sum(sigma) == sum(lam).  So when an argument
+    is not a partition or the weights do not balance, every term fails
+    _padded_triple and the coproduct is empty with no check here.  The
+    same holds for _wall_terms.
+    """
+    n = max(len(mu), len(lam), len(pi), len(sigma), 1)
+    mu, lam, pi, sigma = pad(mu, n), pad(lam, n), pad(pi, n), pad(sigma, n)
+    return [((mu, g, lam), (pi, sigma, g)) for g in _glues(pi, sigma, lam)]
 
 
 def _wall_terms(mu: Partition, pi: Partition, sigma: Partition,
                 lam: Partition) -> list[tuple[Triple, Triple]]:
-    return _coproduct_terms((mu, pi, sigma, lam), slice(0, 2),
-                            lambda mu, pi, sigma, lam, t: ((mu, pi, t),
-                                                           (t, sigma, lam)))
+    """((mu, pi, t), (t, sigma, lam)) for each glue t of mu * pi, on the
+    arguments zero-padded to a common length (see _glued_terms)."""
+    n = max(len(mu), len(pi), len(sigma), len(lam), 1)
+    mu, pi, sigma, lam = pad(mu, n), pad(pi, n), pad(sigma, n), pad(lam, n)
+    return [((mu, pi, t), (t, sigma, lam)) for t in _glues(mu, pi, lam)]
 
 
 def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,

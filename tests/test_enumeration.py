@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hives import enumeration
-from hives.checks import partitions_upto, triple_universe
+from hives.checks import glued_universe, partitions_upto, triple_universe
 from hives.enumeration import (brute_force_count, count_glued_pairs,
                                count_hives, count_wall_pairs,
                                enumerate_glued_pairs, enumerate_hives,
@@ -262,3 +262,46 @@ def test_coproduct_cardinalities_agree():
             assert (count_glued_pairs(mu, lam, pi, sigma) == len(glued)
                     == len(walls) == count_wall_pairs(mu, pi, sigma, lam)), \
                 (mu, pi, sigma, lam)
+
+
+def _pairs_in_documented_order(mu, pi, sigma, lam):
+    """Both coproducts built by their docstrings' order: by glue in
+    descending lex order over every partition of the glue weight, then
+    the left factor's members, then the right factor's."""
+    n = len(lam)
+
+    def glues(weight):
+        return [pad(g, n) for g in partitions_in_box(weight, n, weight)]
+
+    glued = [(f1, f2) for g in glues(sum(pi) + sum(sigma))
+             for f1 in enumerate_hives(mu, g, lam)
+             for f2 in enumerate_hives(pi, sigma, g)]
+    walls = [(w1, w2) for t in glues(sum(mu) + sum(pi))
+             for w1 in enumerate_hives(mu, pi, t)
+             for w2 in enumerate_hives(t, sigma, lam)]
+    return glued, walls
+
+
+def _random_classes(seed: int, n: int, count: int):
+    """count seeded classes (mu, pi, sigma, lam) at size n with parts of
+    mu, pi, sigma at most 2 and a nonempty glued coproduct."""
+    rng = random.Random(seed)
+    classes = []
+    while len(classes) < count:
+        mu, pi, sigma = (tuple(sorted((rng.randint(0, 2) for _ in range(n)),
+                                      reverse=True)) for _ in range(3))
+        lams = partitions_in_box(sum(mu) + sum(pi) + sum(sigma), n, 6)
+        lam = pad(lams[rng.randrange(len(lams))], n)
+        if count_glued_pairs(mu, lam, pi, sigma):
+            classes.append((mu, pi, sigma, lam))
+    return classes
+
+
+def test_coproduct_pairs_come_in_the_documented_order():
+    classes = [*glued_universe(2, 2), *_random_classes(17, 3, 60)]
+    for mu, pi, sigma, lam in classes:
+        glued, walls = _pairs_in_documented_order(mu, pi, sigma, lam)
+        assert enumerate_glued_pairs(mu, lam, pi, sigma) == glued, \
+            (mu, pi, sigma, lam)
+        assert enumerate_wall_pairs(mu, pi, sigma, lam) == walls, \
+            (mu, pi, sigma, lam)

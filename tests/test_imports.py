@@ -1,4 +1,5 @@
-"""Every module of the package and every script uses each name it imports.
+"""Every module of the package, every script and every test module uses
+each name it imports.
 
 No linter ships with the project, so this is its unused-import check, on
 the standard library's ast alone.  A name counts as used when it is read
@@ -11,7 +12,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted([*ROOT.glob("src/hives/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted([*ROOT.glob("src/hives/*.py"), *ROOT.glob("scripts/*.py"),
+                  *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
