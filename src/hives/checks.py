@@ -50,8 +50,9 @@ def triple_universe(n: int, max_part: int) -> list[Triple]:
 
 
 def glued_universe(n: int, max_part: int) -> Iterator[tuple[Partition, ...]]:
-    """Every (mu, pi, sigma, lam) of the glued-pair coproduct at size n with
-    mu, pi, sigma entries <= max_part and lam entries <= n * max_part."""
+    """Every class (mu, pi, sigma, lam) at size n with mu, pi, sigma entries
+    <= max_part and lam entries <= n * max_part, in the argument order of
+    both coproducts, whose pairs are the two sides of assoc_forward."""
     ps = partitions_upto(n, max_part)
     for mu, pi, sigma in product(ps, repeat=3):
         for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), n,
@@ -152,7 +153,7 @@ def propagation(max_part: int, random_cases: int) -> SuiteResult:
     failures: list[str] = []
     glued = [(f"glued({mu},{pi},{sigma},{lam})", pair)
              for mu, pi, sigma, lam in glued_universe(2, min(2, max_part))
-             for pair in enumerate_glued_pairs(mu, lam, pi, sigma)]
+             for pair in enumerate_glued_pairs(mu, pi, sigma, lam)]
     randoms = random_glued_pairs(SELFCHECK_SEED, random_cases)
     tagged = ([(f"{at}#{k}", pair) for k, (at, pair) in enumerate(glued, 1)]
               + [(f"random#{k}", pair) for k, pair in enumerate(randoms, 1)])
@@ -183,7 +184,7 @@ def associativity(max_part: int) -> SuiteResult:
     cases = 0
     for mu, pi, sigma, lam in glued_universe(2, min(2, max_part)):
         at = f"({mu},{pi},{sigma},{lam})"
-        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        domain = enumerate_glued_pairs(mu, pi, sigma, lam)
         target = enumerate_wall_pairs(mu, pi, sigma, lam)
         glue_total = sum(lam) - sum(mu)
         lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)

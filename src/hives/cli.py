@@ -128,12 +128,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    parts = (args.mu, args.pi, args.sigma, args.lam)
     if args.side == "glued":
-        parts = (args.mu, args.lam, args.pi, args.sigma)
         count, enumerate_pairs = count_glued_pairs, enumerate_glued_pairs
         keys = ("f1", "f2")
     else:
-        parts = (args.mu, args.pi, args.sigma, args.lam)
         count, enumerate_pairs = count_wall_pairs, enumerate_wall_pairs
         keys = ("w1", "w2")
     if args.max_count is not None:
@@ -272,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="list a glued- or wall-pair coproduct")
     p.add_argument("--side", choices=("glued", "wall"), default="glued")
     p.add_argument("--mu", type=parse_partition, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--pi", type=parse_partition, required=True)
     p.add_argument("--sigma", type=parse_partition, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     max_count_option(p, "pairs")
     p.add_argument("-o", "--output")
     json_options(p)

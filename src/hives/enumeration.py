@@ -19,24 +19,24 @@ row j on depends on the interior values of rows j-2 and j-1 alone: a
 transfer over pairs of rows, as for Gelfand-Tsetlin patterns.
 
 Every search, the reference count and each coproduct term start from one
-gate, _padded_triple: the three arguments, zero-padded to a common
-length, must be partitions whose weights balance.  Before any search the
-triple must also pass the Weyl and dual Weyl inequalities, the cheapest
-of the Horn inequalities.  These are sound: a
-triple with a nonzero LR coefficient satisfies every Horn inequality
-(Knutson-Tao, "The honeycomb model of GL_n(C) tensor products I"; Fulton,
-"Eigenvalues, invariant factors, highest weights, and Schubert calculus"),
-so a triple failing them has no hive and is rejected unsearched; most zero
-triples fail them.  At n = 2 they are the whole Horn list, and they replace
-the check of the rhombi that lie on the boundary, which exist only there.
-brute_force_count shares the gate but not this filter, and the tableau
-oracle applies neither.
+gate, _padded_triple: the three arguments, zero-padded to a common length,
+must be partitions whose weights balance.  Before any search the triple
+must also pass the Weyl and dual Weyl inequalities, the cheapest of the
+Horn inequalities.  These are sound: a triple with a nonzero LR coefficient
+satisfies every Horn inequality (Knutson-Tao, "The honeycomb model of
+GL_n(C) tensor products I"; Fulton, "Eigenvalues, invariant factors,
+highest weights, and Schubert calculus"), so a triple failing them has no
+hive and is rejected unsearched; most zero triples fail them.  At n = 2
+they are the whole Horn list, and they replace the check of the rhombi that
+lie on the boundary, which exist only there.  brute_force_count shares the
+gate but not this filter, and the tableau oracle applies neither.
 
 The number of hives found equals the Littlewood-Richardson coefficient of
 the boundary triple, which the test suite checks against the independent
-tableau oracle and against the unpruned brute_force_count.  Each coproduct
-term is its two boundary triples, one per glue partition from _glues, the
-one home of the glue rule.
+tableau oracle and against the unpruned brute_force_count.  Both
+coproducts take one class (mu, pi, sigma, lam): its glued and wall pairs
+are the two sides of assoc_forward.  Each term is its two boundary
+triples, one per glue partition from _glues, the one home of the glue rule.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add
 
-from .grids import tri_points, unit_rhombi_2d
+from .grids import RHOMBUS_KINDS, tri_points, unit_rhombi_2d
 from .hive import Hive, Partition, is_partition, pad, prefix_sums
 from .tableaux import partitions_in_box
 
@@ -239,10 +239,13 @@ def brute_force_count(mu: Partition, nu: Partition, lam: Partition,
     only at the end.  Slow but structurally independent of the search-order
     logic in enumerate_hives, so agreement is a real cross-check.
 
-    flip_kind reverses the inequality of one rhombus kind ("I", "II" or
-    "III"); this deliberately breaks the count and exists so that the
-    self-check harness can prove it would catch such a fault.
+    flip_kind, one of "I", "II", "III" (else ValueError), reverses the
+    inequality of that rhombus kind; this deliberately breaks the count so
+    that the self-check harness can prove it would catch such a fault.
     """
+    if flip_kind is not None and flip_kind not in RHOMBUS_KINDS:
+        raise ValueError(f"flip_kind must be None or one of {RHOMBUS_KINDS}, "
+                         f"not {flip_kind!r}")
     triple = _padded_triple(mu, nu, lam)
     if triple is None:
         return 0
@@ -308,8 +311,8 @@ def _glues(a: Partition, b: Partition, lam: Partition) -> list[Partition]:
                                                  min(lam[0], a[0] + b[0]))]
 
 
-def _glued_terms(mu: Partition, lam: Partition, pi: Partition,
-                 sigma: Partition) -> list[tuple[Triple, Triple]]:
+def _glued_terms(mu: Partition, pi: Partition, sigma: Partition,
+                 lam: Partition) -> list[tuple[Triple, Triple]]:
     """((mu, g, lam), (pi, sigma, g)) for each glue g of pi * sigma, on the
     arguments zero-padded to a common length.
 
@@ -319,8 +322,8 @@ def _glued_terms(mu: Partition, lam: Partition, pi: Partition,
     _padded_triple and the coproduct is empty with no check here.  The
     same holds for _wall_terms.
     """
-    n = max(len(mu), len(lam), len(pi), len(sigma), 1)
-    mu, lam, pi, sigma = pad(mu, n), pad(lam, n), pad(pi, n), pad(sigma, n)
+    n = max(len(mu), len(pi), len(sigma), len(lam), 1)
+    mu, pi, sigma, lam = pad(mu, n), pad(pi, n), pad(sigma, n), pad(lam, n)
     return [((mu, g, lam), (pi, sigma, g)) for g in _glues(pi, sigma, lam)]
 
 
@@ -333,23 +336,23 @@ def _wall_terms(mu: Partition, pi: Partition, sigma: Partition,
     return [((mu, pi, t), (t, sigma, lam)) for t in _glues(mu, pi, lam)]
 
 
-def enumerate_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
-                          sigma: Partition) -> list[tuple[Hive, Hive]]:
+def enumerate_glued_pairs(mu: Partition, pi: Partition, sigma: Partition,
+                          lam: Partition) -> list[tuple[Hive, Hive]]:
     """All pairs (f1, f2) with f1 in DC(mu, g; lam) and f2 in DC(pi, sigma; g),
     the union running over every partition g that balances both weights.
 
-    This is the ground/ceiling-side coproduct of the associativity identity;
-    pairs are ordered by g (descending lex) then by member order.  The
-    result is empty when any argument is not a partition or the weights
-    do not balance.
+    The domain of assoc_forward on the class (mu, pi, sigma, lam), whose
+    image is enumerate_wall_pairs of the same class; ordered by g
+    (descending lex), then by member order; empty when any argument is
+    not a partition or the weights do not balance.
     """
-    return _coproduct(_glued_terms(mu, lam, pi, sigma))
+    return _coproduct(_glued_terms(mu, pi, sigma, lam))
 
 
-def count_glued_pairs(mu: Partition, lam: Partition, pi: Partition,
-                      sigma: Partition) -> int:
-    """len(enumerate_glued_pairs(mu, lam, pi, sigma)), from hive counts."""
-    return _coproduct_size(_glued_terms(mu, lam, pi, sigma))
+def count_glued_pairs(mu: Partition, pi: Partition, sigma: Partition,
+                      lam: Partition) -> int:
+    """len(enumerate_glued_pairs(mu, pi, sigma, lam)), from hive counts."""
+    return _coproduct_size(_glued_terms(mu, pi, sigma, lam))
 
 
 def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
@@ -357,10 +360,10 @@ def enumerate_wall_pairs(mu: Partition, pi: Partition, sigma: Partition,
     """All pairs (w1, w2) with w1 in DC(mu, pi; t) and w2 in DC(t, sigma; lam),
     the union running over every partition t that balances both weights.
 
-    This is the wall-side coproduct targeted by the associativity bijection;
-    pairs are ordered by t (descending lex) then by member order.  The
-    result is empty when any argument is not a partition or the weights
-    do not balance.
+    The image of assoc_forward on enumerate_glued_pairs of the same class
+    (mu, pi, sigma, lam); ordered by t (descending lex), then by member
+    order; empty when any argument is not a partition or the weights do
+    not balance.
     """
     return _coproduct(_wall_terms(mu, pi, sigma, lam))
 

@@ -34,7 +34,7 @@ def exhaustive_tetras():
     """Propagations of every glued DC pair at n = 2 with entries <= 2."""
     out = [propagate(f1, f2)
            for mu, pi, sigma, lam in glued_universe(2, 2)
-           for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma)]
+           for f1, f2 in enumerate_glued_pairs(mu, pi, sigma, lam)]
     assert len(out) >= 200
     return out
 
@@ -89,7 +89,7 @@ def test_criterion_4_associativity_bijection():
     identity."""
     classes = pairs = 0
     for mu, pi, sigma, lam in glued_universe(2, 2):
-        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        domain = enumerate_glued_pairs(mu, pi, sigma, lam)
         target = enumerate_wall_pairs(mu, pi, sigma, lam)
         glue_total = sum(lam) - sum(mu)
         lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)

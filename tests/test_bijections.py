@@ -154,7 +154,7 @@ def test_assoc_inverse_roundtrip(pair):
 
 def test_assoc_bijection_exhaustive_small():
     for mu, pi, sigma, lam in glued_universe(2, 2):
-        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        domain = enumerate_glued_pairs(mu, pi, sigma, lam)
         target = enumerate_wall_pairs(mu, pi, sigma, lam)
         assert len(domain) == len(target)
         images = set()
@@ -186,7 +186,7 @@ def test_assoc_bijection_n2_wide_lambda():
             lam = pad(lam, 2)
             if lam[0] <= 4:
                 continue
-            domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+            domain = enumerate_glued_pairs(mu, pi, sigma, lam)
             target = enumerate_wall_pairs(mu, pi, sigma, lam)
             glue, t_total = sum(pi) + sum(sigma), sum(mu) + sum(pi)
             lhs = sum(lr_coefficient(mu, g, lam) * lr_coefficient(pi, sigma, g)
@@ -217,7 +217,7 @@ def test_assoc_bijection_exhaustive_n3():
     wall pairs, and both round trips hold."""
     classes = pairs = 0
     for mu, pi, sigma, lam in glued_universe(3, 2):
-        domain = enumerate_glued_pairs(mu, lam, pi, sigma)
+        domain = enumerate_glued_pairs(mu, pi, sigma, lam)
         target = enumerate_wall_pairs(mu, pi, sigma, lam)
         assert len(domain) == len(target), (mu, pi, sigma, lam)
         if not domain:

@@ -9,7 +9,7 @@ from hives.enumeration import (brute_force_count, count_glued_pairs,
                                count_hives, count_wall_pairs,
                                enumerate_glued_pairs, enumerate_hives,
                                enumerate_wall_pairs)
-from hives.grids import tri_points
+from hives.grids import rhombus, tri_points
 from hives.hive import Hive, boundary, pad, validate_dc
 from hives.tableaux import lr_coefficient, partitions_in_box
 
@@ -192,9 +192,16 @@ def test_brute_force_fault_flips_are_detected():
             for mu, nu, lam in triple_universe(2, 2))
 
 
+def test_unknown_rhombus_kinds_are_rejected():
+    with pytest.raises(ValueError, match=r"one of \('I', 'II', 'III'\)"):
+        brute_force_count((0, 0), (1, 0), (1, 0), flip_kind="IV")
+    with pytest.raises(ValueError, match="unknown rhombus kind 'IV'"):
+        rhombus("IV", 0, 0)
+
+
 def test_glued_pairs_definitional_count():
-    mu, lam, pi, sigma = (1, 0), (2, 1), (1, 0), (1, 0)
-    pairs = enumerate_glued_pairs(mu, lam, pi, sigma)
+    mu, pi, sigma, lam = (1, 0), (1, 0), (1, 0), (2, 1)
+    pairs = enumerate_glued_pairs(mu, pi, sigma, lam)
     glue_total = sum(lam) - sum(mu)
     expected = sum(count_hives(mu, g, lam) * count_hives(pi, sigma, g)
                    for g in partitions_in_box(glue_total, 2, glue_total))
@@ -232,23 +239,27 @@ def test_coproducts_of_a_non_partition_are_empty(bad, position):
         w = sum(bad) + 2
         parts.append(((w + 1) // 2, w // 2))
     mu, pi, sigma, lam = parts
-    assert enumerate_glued_pairs(mu, lam, pi, sigma) == []
-    assert count_glued_pairs(mu, lam, pi, sigma) == 0
+    assert enumerate_glued_pairs(mu, pi, sigma, lam) == []
+    assert count_glued_pairs(mu, pi, sigma, lam) == 0
     assert enumerate_wall_pairs(mu, pi, sigma, lam) == []
     assert count_wall_pairs(mu, pi, sigma, lam) == 0
 
 
 def test_glued_pairs_weight_mismatch_empty():
-    assert enumerate_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
-    assert enumerate_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == []
-    assert count_glued_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
-    assert count_wall_pairs((1, 0), (1, 0), (1, 0), (1, 0)) == 0
-    # a term of each passes the Weyl inequalities: only the balance test
-    # empties these
-    assert enumerate_glued_pairs((1, 0), (2, 0), (1, 0), (1, 0)) == []
-    assert enumerate_wall_pairs((1, 0), (1, 0), (1, 0), (2, 0)) == []
-    assert count_glued_pairs((1, 0), (2, 0), (1, 0), (1, 0)) == 0
-    assert count_wall_pairs((1, 0), (1, 0), (1, 0), (2, 0)) == 0
+    # in the second class a term of each side passes the Weyl
+    # inequalities: only the balance test empties it
+    for parts in [((1, 0), (1, 0), (1, 0), (1, 0)),
+                  ((1, 0), (1, 0), (1, 0), (2, 0))]:
+        assert enumerate_glued_pairs(*parts) == []
+        assert enumerate_wall_pairs(*parts) == []
+        assert count_glued_pairs(*parts) == 0
+        assert count_wall_pairs(*parts) == 0
+
+
+def test_both_coproducts_take_the_class_in_one_order():
+    c = ((1, 0), (1, 0), (0, 0), (2, 0))  # (mu, pi, sigma, lam)
+    assert (count_glued_pairs(*c) == count_wall_pairs(*c)
+            == len(enumerate_glued_pairs(*c)) == 1)
 
 
 def test_coproduct_cardinalities_agree():
@@ -257,9 +268,9 @@ def test_coproduct_cardinalities_agree():
     for mu, pi, sigma in product(ps, repeat=3):
         for lam in partitions_in_box(sum(mu) + sum(pi) + sum(sigma), 2, 6):
             lam = pad(lam, 2)
-            glued = enumerate_glued_pairs(mu, lam, pi, sigma)
+            glued = enumerate_glued_pairs(mu, pi, sigma, lam)
             walls = enumerate_wall_pairs(mu, pi, sigma, lam)
-            assert (count_glued_pairs(mu, lam, pi, sigma) == len(glued)
+            assert (count_glued_pairs(mu, pi, sigma, lam) == len(glued)
                     == len(walls) == count_wall_pairs(mu, pi, sigma, lam)), \
                 (mu, pi, sigma, lam)
 
@@ -292,7 +303,7 @@ def _random_classes(seed: int, n: int, count: int):
                                       reverse=True)) for _ in range(3))
         lams = partitions_in_box(sum(mu) + sum(pi) + sum(sigma), n, 6)
         lam = pad(lams[rng.randrange(len(lams))], n)
-        if count_glued_pairs(mu, lam, pi, sigma):
+        if count_glued_pairs(mu, pi, sigma, lam):
             classes.append((mu, pi, sigma, lam))
     return classes
 
@@ -301,7 +312,7 @@ def test_coproduct_pairs_come_in_the_documented_order():
     classes = [*glued_universe(2, 2), *_random_classes(17, 3, 60)]
     for mu, pi, sigma, lam in classes:
         glued, walls = _pairs_in_documented_order(mu, pi, sigma, lam)
-        assert enumerate_glued_pairs(mu, lam, pi, sigma) == glued, \
+        assert enumerate_glued_pairs(mu, pi, sigma, lam) == glued, \
             (mu, pi, sigma, lam)
         assert enumerate_wall_pairs(mu, pi, sigma, lam) == walls, \
             (mu, pi, sigma, lam)

@@ -89,7 +89,7 @@ def seeded_dc_pairs(seed: int, n: int, count: int) -> list[tuple[Hive, Hive]]:
         mu, pi, sigma = (random_partition(rng, n) for _ in range(3))
         lams = partitions_in_box(sum(mu) + sum(pi) + sum(sigma), n, 6)
         lam = pad(lams[rng.randrange(len(lams))], n)
-        pairs = enumerate_glued_pairs(mu, lam, pi, sigma)
+        pairs = enumerate_glued_pairs(mu, pi, sigma, lam)
         if pairs:
             out.append(pairs[rng.randrange(len(pairs))])
     return out
@@ -108,7 +108,7 @@ def noisy(rng: random.Random, h: Hive, keep) -> Hive:
 
 def test_exchange_holds_on_propagations():
     pairs = [pair for mu, pi, sigma, lam in glued_universe(2, 2)
-             for pair in enumerate_glued_pairs(mu, lam, pi, sigma)]
+             for pair in enumerate_glued_pairs(mu, pi, sigma, lam)]
     pairs += seeded_dc_pairs(3, 3, 40) + seeded_dc_pairs(4, 4, 20)
     assert len(pairs) == 279 + 60
     for f1, f2 in pairs:
@@ -121,7 +121,7 @@ def test_exchange_agrees_with_the_section_check():
     section rhombus violation."""
     rng = random.Random(20)
     pools = {2: [pair for mu, pi, sigma, lam in glued_universe(2, 2)
-                 for pair in enumerate_glued_pairs(mu, lam, pi, sigma)],
+                 for pair in enumerate_glued_pairs(mu, pi, sigma, lam)],
              3: seeded_dc_pairs(5, 3, 60), 4: seeded_dc_pairs(6, 4, 60)}
     pcpm = {2: 0, 3: 0, 4: 0}
     for n in [2] * 1400 + [3] * 1100 + [4] * 500:

@@ -37,7 +37,7 @@ def universe_tetras(max_entry=2):
     """Propagations of every glued DC pair over the small partition box."""
     return [propagate(f1, f2)
             for mu, pi, sigma, lam in glued_universe(2, max_entry)
-            for f1, f2 in enumerate_glued_pairs(mu, lam, pi, sigma)]
+            for f1, f2 in enumerate_glued_pairs(mu, pi, sigma, lam)]
 
 
 def _raises_exactly(message: str):
@@ -195,7 +195,7 @@ def test_check_pcpm_rhombi_match_the_per_rhombus_reference():
     function the selfcheck propagation suite builds and on bumped
     functions of sizes 2..5 and 12."""
     pairs = [pair for mu, pi, sigma, lam in glued_universe(2, 2)
-             for pair in enumerate_glued_pairs(mu, lam, pi, sigma)]
+             for pair in enumerate_glued_pairs(mu, pi, sigma, lam)]
     pairs += random_glued_pairs(SELFCHECK_SEED, 200)
     assert len(pairs) == 479
     for f1, f2 in pairs:

@@ -171,7 +171,7 @@ def small_pairs() -> list[tuple[Hive, Hive]]:
     """Every glued pair of glued_universe(2, 2) and 200 seeded n = 4
     pairs."""
     glued = [pair for mu, pi, sigma, lam in glued_universe(2, 2)
-             for pair in enumerate_glued_pairs(mu, lam, pi, sigma)]
+             for pair in enumerate_glued_pairs(mu, pi, sigma, lam)]
     randoms = random_glued_pairs(SEED, 200)
     assert len(glued) >= 279 and len(randoms) == 200
     return glued + randoms
