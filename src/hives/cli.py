@@ -4,9 +4,10 @@ Subcommands: lr, schur, enumerate, pairs, verify, assoc, commute, propagate,
 selfcheck, render.  Exit codes: 0 success, 1 a mathematical identity or
 concavity check failed, 2 usage or input-schema error.  A failed check
 names its witnesses: verify each violated rhombus, commute --check and
-propagate --check-pcpm on stderr.  All outputs are deterministic.
---format json (lr, schur, verify) prints JSON instead of a table;
---canonical (all but selfcheck and render) makes JSON byte-stable.
+propagate --check-pcpm on stderr.  All outputs are deterministic, and
+all JSON output, on stdout or in an -o file, is the canonical form of
+jsonio.dumps.  --format json (lr, schur, verify) prints JSON instead of a
+table.  A file that cannot be read or written exits 2 naming its path.
 --max-count (enumerate, pairs) counts the result first and exits 2 if it
 is larger, so a runaway listing is refused before it is built.
 selfcheck runs the suites of hives.checks; --max-n >= 2, --max-part >= 0
@@ -65,18 +66,21 @@ def int_at_least(low: int):
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -89,7 +93,7 @@ def cmd_lr(args) -> int:
     if args.method in ("tableaux", "both"):
         results["tableaux"] = lr_coefficient(mu, nu, lam)
     if args.format == "json":
-        sys.stdout.write(dumps(results, canonical=args.canonical))
+        sys.stdout.write(dumps(results))
     else:
         for v in results.values():
             print(v)
@@ -103,7 +107,7 @@ def cmd_schur(args) -> int:
     exp = schur_product(args.mu, args.nu, args.parts)
     if args.format == "json":
         obj = {",".join(map(str, lam)): c for lam, c in sorted(exp.items())}
-        sys.stdout.write(dumps(obj, canonical=args.canonical))
+        sys.stdout.write(dumps(obj))
     else:
         for lam, c in sorted(exp.items(), reverse=True):
             print(f"{c}  {','.join(map(str, lam)) or '0'}")
@@ -123,7 +127,7 @@ def cmd_enumerate(args) -> int:
                          args.max_count)
     hs = enumerate_hives(args.mu, args.nu, args.lam)
     obj = {"count": len(hs), "hives": [hive_to_obj(h) for h in hs]}
-    _emit(dumps(obj, canonical=args.canonical), args.output)
+    _emit(dumps(obj), args.output)
     return EXIT_OK
 
 
@@ -141,7 +145,7 @@ def cmd_pairs(args) -> int:
     obj = {"count": len(pairs),
            "pairs": [{keys[0]: hive_to_obj(a), keys[1]: hive_to_obj(b)}
                      for a, b in pairs]}
-    _emit(dumps(obj, canonical=args.canonical), args.output)
+    _emit(dumps(obj), args.output)
     return EXIT_OK
 
 
@@ -154,7 +158,7 @@ def cmd_verify(args) -> int:
                "base": list(b.base),
                "violations": [{"kind": rh.kind, "anchor": list(rh.anchor)}
                               for rh in bad]}
-        sys.stdout.write(dumps(obj, canonical=args.canonical))
+        sys.stdout.write(dumps(obj))
     else:
         verdict = "DC" if not bad else "NOT DC"
         print(f"{verdict}; left={b.left} hyp={b.hyp} base={b.base}")
@@ -169,7 +173,7 @@ def cmd_assoc(args) -> int:
         out = wall_pair_to_obj(assoc_forward(glued_pair_from_obj(obj)))
     else:
         out = glued_pair_to_obj(assoc_inverse(wall_pair_from_obj(obj)))
-    _emit(dumps(out, canonical=args.canonical), args.output)
+    _emit(dumps(out), args.output)
     return EXIT_OK
 
 
@@ -181,7 +185,7 @@ def cmd_commute(args) -> int:
         if witness is not None:
             print(witness, file=sys.stderr)
             return EXIT_MATH
-    _emit(dumps(hive_to_obj(out), canonical=args.canonical), args.output)
+    _emit(dumps(hive_to_obj(out)), args.output)
     return EXIT_OK
 
 
@@ -189,7 +193,7 @@ def cmd_propagate(args) -> int:
     ground = hive_from_obj(_read_json(args.ground))
     ceiling = hive_from_obj(_read_json(args.ceiling))
     t = propagate(ground, ceiling)
-    _emit(dumps(tetra_to_obj(t), canonical=args.canonical), args.output)
+    _emit(dumps(tetra_to_obj(t)), args.output)
     if args.check_pcpm:
         witnesses = check_pcpm(t).witnesses()
         if witnesses:
@@ -229,14 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the associativity/commutativity bijections.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def json_options(p, formats: bool = False):
-        """--canonical, plus --format on commands that also print a table."""
-        if formats:
-            p.add_argument("--format", choices=("table", "json"),
-                           default="table")
-        p.add_argument("--canonical", action="store_true",
-                       help="byte-stable compact JSON output")
-
     def max_count_option(p, what: str):
         p.add_argument("--max-count", type=int_at_least(0),
                        help=f"exit 2 without output when there are more "
@@ -248,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--method", choices=("hive", "tableaux", "both"),
                    default="hive")
-    json_options(p, formats=True)
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_lr)
 
     p = sub.add_parser("schur", help="expand a product of two Schur functions")
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=parse_partition, required=True)
     p.add_argument("--parts", type=int_at_least(0), default=6,
                    help="maximum number of parts in the expansion terms")
-    json_options(p, formats=True)
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_schur)
 
     p = sub.add_parser("enumerate", help="list all hives with a boundary")
@@ -265,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     max_count_option(p, "hives")
     p.add_argument("-o", "--output")
-    json_options(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("pairs", help="list a glued- or wall-pair coproduct")
@@ -276,19 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     max_count_option(p, "pairs")
     p.add_argument("-o", "--output")
-    json_options(p)
     p.set_defaults(fn=cmd_pairs)
 
     p = sub.add_parser("verify", help="check a hive file for concavity")
     p.add_argument("hive")
-    json_options(p, formats=True)
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("assoc", help="associativity bijection on a pair file")
     p.add_argument("direction", choices=("forward", "inverse"))
     p.add_argument("pair")
     p.add_argument("-o", "--output")
-    json_options(p)
     p.set_defaults(fn=cmd_assoc)
 
     p = sub.add_parser("commute", help="commutor: DC(mu,nu;lam) -> DC(nu,mu;lam)")
@@ -296,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the half-octahedron diagnostics")
     p.add_argument("-o", "--output")
-    json_options(p)
     p.set_defaults(fn=cmd_commute)
 
     p = sub.add_parser("propagate", help="octahedron propagation of two hives")
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", required=True)
     p.add_argument("--check-pcpm", action="store_true")
     p.add_argument("-o", "--output")
-    json_options(p)
     p.set_defaults(fn=cmd_propagate)
 
     p = sub.add_parser("selfcheck", help="run the full identity test suites")

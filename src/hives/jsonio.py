@@ -3,8 +3,9 @@
 Hive: {"n": 2, "values": [[0, 2, 2], [1, 2], [1]]} with row j holding the
 values f(0, j) ... f(n-j, j), rows ascending in j.  Tetra function: the same
 idea one level deeper, "values" indexed by z, then y, then x.  Pairs wrap
-two hives under fixed keys.  Canonical serialization uses a fixed key order
-and no whitespace, so equal objects produce byte-identical files.
+two hives under fixed keys.  All JSON the package writes is the canonical
+form of dumps: sorted keys and no whitespace, so equal objects produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -72,11 +73,9 @@ def wall_pair_from_obj(obj: Any) -> WallPair:
     return WallPair(hive_from_obj(obj["w1"]), hive_from_obj(obj["w2"]))
 
 
-def dumps(obj: Any, canonical: bool = True) -> str:
-    """Serialize; canonical mode is byte-stable (sorted keys, no spaces)."""
-    if canonical:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(obj: Any) -> str:
+    """The canonical form: sorted keys, no whitespace, a closing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads(text: str) -> Any:

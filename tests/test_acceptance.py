@@ -191,7 +191,7 @@ def test_criterion_8_tooling(tmp_path, capsys):
     for run in range(2):
         outp = tmp_path / f"o{run}.json"
         assert main(["enumerate", "--mu", "2,1,0", "--nu", "2,1,0",
-                     "--lambda", "3,2,1", "--canonical", "-o", str(outp)]) == 0
+                     "--lambda", "3,2,1", "-o", str(outp)]) == 0
         blobs.add(outp.read_bytes())
     assert len(blobs) == 1
 

@@ -5,11 +5,16 @@ import re
 import pytest
 
 from hives import bijections, checks, cli
-from hives.bijections import CommutorDiagnostics
+from hives.bijections import (CommutorDiagnostics, GluedPair, WallPair,
+                              assoc_forward, assoc_inverse, commutor)
 from hives.cli import main
-from hives.enumeration import enumerate_hives
-from hives.jsonio import dumps, hive_to_obj
+from hives.enumeration import (count_hives, enumerate_glued_pairs,
+                               enumerate_hives, enumerate_wall_pairs)
+from hives.jsonio import (dumps, glued_pair_to_obj, hive_to_obj,
+                          tetra_to_obj, wall_pair_to_obj)
 from hives.hive import Hive, boundary
+from hives.octahedron import propagate
+from hives.tableaux import lr_coefficient, schur_product
 
 WORKED = '{"n":2,"values":[[0,2,2],[1,2],[1]]}\n'
 PAIR = ('{"f1":{"n":2,"values":[[0,2,2],[1,2],[1]]},'
@@ -79,7 +84,7 @@ def test_verify_schema_error(tmp_path, capsys):
 def test_enumerate(tmp_path, capsys):
     out = tmp_path / "hives.json"
     assert main(["enumerate", "--mu", "2,1,0", "--nu", "2,1,0",
-                 "--lambda", "3,2,1", "--canonical", "-o", str(out)]) == 0
+                 "--lambda", "3,2,1", "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert obj["count"] == 2 and len(obj["hives"]) == 2
 
@@ -103,9 +108,9 @@ def test_max_count_refuses_a_larger_result(argv, found, tmp_path, capsys):
     assert f"{found} {what} exceed --max-count {found - 1}" in captured.err
     assert captured.out == "" and not out.exists()
     # at the limit the output is the one without a limit, byte for byte
-    assert main([*argv, "--canonical"]) == 0
+    assert main(argv) == 0
     unlimited = capsys.readouterr().out
-    assert main([*argv, "--canonical", "--max-count", str(found)]) == 0
+    assert main([*argv, "--max-count", str(found)]) == 0
     assert capsys.readouterr().out == unlimited
     assert json.loads(unlimited)["count"] == found
 
@@ -113,13 +118,12 @@ def test_max_count_refuses_a_larger_result(argv, found, tmp_path, capsys):
 def test_assoc_roundtrip_byte_identical(tmp_path, capsys):
     pair = write(tmp_path, "pair.json", PAIR)
     fwd = tmp_path / "walls.json"
-    assert main(["assoc", "forward", pair, "--canonical", "-o", str(fwd)]) == 0
+    assert main(["assoc", "forward", pair, "-o", str(fwd)]) == 0
     walls = json.loads(fwd.read_text())
     assert walls["w1"]["values"] == [[0, 2, 2], [1, 2], [1]]
     assert walls["w2"]["values"] == [[0, 2, 2], [2, 2], [2]]
     back = tmp_path / "back.json"
-    assert main(["assoc", "inverse", str(fwd), "--canonical",
-                 "-o", str(back)]) == 0
+    assert main(["assoc", "inverse", str(fwd), "-o", str(back)]) == 0
     assert back.read_text() == PAIR
 
 
@@ -156,7 +160,7 @@ def test_rejected_input_names_its_witness(argv, text, line, tmp_path, capsys):
 
 def test_commute_singleton(tmp_path, capsys):
     path = write(tmp_path, "h.json", '{"n":1,"values":[[0,3],[1]]}\n')
-    assert main(["commute", path, "--check", "--canonical"]) == 0
+    assert main(["commute", path, "--check"]) == 0
     assert capsys.readouterr().out == '{"n":1,"values":[[0,3],[2]]}\n'
 
 
@@ -164,7 +168,7 @@ def test_propagate_with_pcpm(tmp_path, capsys):
     g = write(tmp_path, "g.json", WORKED)
     c = write(tmp_path, "c.json", '{"n":2,"values":[[0,1,1],[1,1],[1]]}\n')
     assert main(["propagate", "--ground", g, "--ceiling", c,
-                 "--check-pcpm", "--canonical"]) == 0
+                 "--check-pcpm"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["values"][1][0][0] == 2  # T(0, 0, 1)
 
@@ -173,7 +177,7 @@ def test_propagate_check_pcpm_names_the_non_dc_sections(tmp_path, capsys):
     g = write(tmp_path, "g.json", '{"n":2,"values":[[0,2,2],[1,4],[1]]}\n')
     c = write(tmp_path, "c.json", '{"n":2,"values":[[0,3,1],[0,0],[0]]}\n')
     assert main(["propagate", "--ground", g, "--ceiling", c,
-                 "--check-pcpm", "--canonical"]) == 1
+                 "--check-pcpm"]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         "section x=0 not DC (kind I at (0, 0))",
@@ -239,6 +243,19 @@ def test_suite_with_no_cases_fails(run):
     assert cases == 0 and failures
 
 
+# each subcommand that writes JSON, with arguments it accepts
+JSON_WRITERS = [
+    ["lr", "--mu", "1", "--nu", "1", "--lambda", "2", "--format", "json"],
+    ["schur", "--mu", "1", "--nu", "1", "--format", "json"],
+    ["verify", "h.json", "--format", "json"],
+    ["enumerate", "--mu", "1", "--nu", "1", "--lambda", "2"],
+    ["pairs", *WIDE_PAIRS],
+    ["assoc", "forward", "pair.json"],
+    ["commute", "h.json"],
+    ["propagate", "--ground", "g.json", "--ceiling", "c.json"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["selfcheck", "--max-part", "-1"],
     ["selfcheck", "--random-cases", "-1"],
@@ -252,6 +269,8 @@ def test_suite_with_no_cases_fails(run):
      "--max-count", "-1"],
     ["lr", "--mu", "1", "--nu", "1", "--lambda", "2", "--max-count", "5"],
     ["selfcheck", "--threads", "2"],
+    # JSON has one form, so no subcommand offers --canonical
+    *([*argv, "--canonical"] for argv in JSON_WRITERS),
 ])
 def test_bad_numbers_and_unoffered_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -328,7 +347,7 @@ def test_commute_check_names_the_witness_of_the_suite(monkeypatch, tmp_path,
     witnesses = set()
     for h in hives:
         path = write(tmp_path, "h.json", dumps(hive_to_obj(h)))
-        assert main(["commute", path, "--check", "--canonical"]) == 1
+        assert main(["commute", path, "--check"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         witness = captured.err.removesuffix("\n")
@@ -365,7 +384,7 @@ def test_canonical_output_byte_stable(tmp_path):
     outs = set()
     for k in range(2):
         out = tmp_path / f"o{k}.json"
-        assert main(["commute", path, "--canonical", "-o", str(out)]) == 0
+        assert main(["commute", path, "-o", str(out)]) == 0
         outs.add(out.read_bytes())
     assert len(outs) == 1
 
@@ -373,3 +392,85 @@ def test_canonical_output_byte_stable(tmp_path):
 def test_dumps_matches_cli_canonical():
     h = Hive(((0, 2, 2), (1, 2), (1,)))
     assert dumps(hive_to_obj(h)) == WORKED
+
+
+H = Hive(((0, 2, 2), (1, 2), (1,)))  # WORKED
+C = Hive(((0, 1, 1), (1, 1), (1,)))  # F2
+WALLS = WallPair(H, Hive(((0, 2, 2), (2, 2), (2,))))  # assoc forward of PAIR
+WIDE_CLASS = ((3, 2, 1), (2, 1), (3, 2, 1), (6, 4, 3, 2))  # WIDE_PAIRS
+
+
+def pairs_obj(pairs, keys):
+    return {"count": len(pairs),
+            "pairs": [{keys[0]: hive_to_obj(a), keys[1]: hive_to_obj(b)}
+                      for a, b in pairs]}
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["lr", "--mu", "2,1", "--nu", "2,1", "--lambda", "3,2,1",
+      "--method", "both", "--format", "json"],
+     lambda: {"hive": count_hives((2, 1), (2, 1), (3, 2, 1)),
+              "tableaux": lr_coefficient((2, 1), (2, 1), (3, 2, 1))}),
+    (["schur", "--mu", "2,1", "--nu", "1,1", "--parts", "4",
+      "--format", "json"],
+     lambda: {",".join(map(str, lam)): c
+              for lam, c in schur_product((2, 1), (1, 1), 4).items()}),
+    (["verify", "h.json", "--format", "json"],
+     lambda: {"dc": True, "left": list(boundary(H).left),
+              "hyp": list(boundary(H).hyp), "base": list(boundary(H).base),
+              "violations": []}),
+    (["enumerate", "--mu", "2,1,0", "--nu", "2,1,0", "--lambda", "3,2,1"],
+     lambda: {"count": 2, "hives": [hive_to_obj(h) for h in enumerate_hives(
+         (2, 1, 0), (2, 1, 0), (3, 2, 1))]}),
+    (["pairs", "--side", "glued", *WIDE_PAIRS],
+     lambda: pairs_obj(enumerate_glued_pairs(*WIDE_CLASS), ("f1", "f2"))),
+    (["pairs", "--side", "wall", *WIDE_PAIRS],
+     lambda: pairs_obj(enumerate_wall_pairs(*WIDE_CLASS), ("w1", "w2"))),
+    (["assoc", "forward", "pair.json"],
+     lambda: wall_pair_to_obj(assoc_forward(GluedPair(H, C)))),
+    (["assoc", "inverse", "walls.json"],
+     lambda: glued_pair_to_obj(assoc_inverse(WALLS))),
+    (["commute", "h.json", "--check"], lambda: hive_to_obj(commutor(H))),
+    (["propagate", "--ground", "h.json", "--ceiling", "c.json",
+      "--check-pcpm"], lambda: tetra_to_obj(propagate(H, C))),
+], ids=["lr", "schur", "verify", "enumerate", "pairs-glued", "pairs-wall",
+        "assoc-forward", "assoc-inverse", "commute", "propagate"])
+def test_json_output_is_dumps_of_the_library_result(argv, result, tmp_path,
+                                                     monkeypatch, capsys):
+    """Every JSON the CLI writes, to stdout or to an -o file, is the one
+    form of jsonio.dumps."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("h.json", WORKED), ("pair.json", PAIR),
+                       ("walls.json", dumps(wall_pair_to_obj(WALLS))),
+                       ("c.json", F2 + "\n")):
+        write(tmp_path, name, text)
+    expected = dumps(result())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    if argv[0] not in ("lr", "schur", "verify"):
+        assert main([*argv, "-o", "out.json"]) == 0
+        assert (tmp_path / "out.json").read_text() == expected
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory as -o",
+                                  "not UTF-8"])
+def test_unwritable_or_unreadable_file_exits_2_naming_it(case, tmp_path,
+                                                          capsys):
+    hive = write(tmp_path, "h.json", WORKED)
+    if case == "missing directory":
+        path = str(tmp_path / "missing" / "x.json")
+        argv = ["enumerate", "--mu", "1", "--nu=", "--lambda", "1", "-o", path]
+        prefix = f"error: cannot write {path}: "
+    elif case == "directory as -o":
+        path = str(tmp_path)
+        argv = ["render", hive, "-o", path]
+        prefix = f"error: cannot write {path}: "
+    else:
+        path = str(tmp_path / "latin1.json")
+        (tmp_path / "latin1.json").write_bytes(b'{"n":0,"values":[[0]]}\xff')
+        argv = ["verify", path]
+        prefix = f"input error: cannot read {path}: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1

@@ -1,5 +1,7 @@
-"""The README's examples run as written: the Library block executes and
-every command of the Command line block parses."""
+"""The README's examples run as written: the Library block executes,
+every command of the Command line block parses, and every option the
+Command line section names is one the CLI offers."""
+import argparse
 import pathlib
 import re
 import shlex
@@ -27,3 +29,13 @@ def test_command_line_block_parses():
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_command_line_section_names_only_offered_options():
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = {option for parser in sub.choices.values()
+               for option in parser._option_string_actions}
+    assert named and named <= offered, sorted(named - offered)
