@@ -167,8 +167,9 @@ def commutor(h: Hive) -> Hive:
     n = h.n
     top = _half_octahedron_layers(h)[n]
     apex = top[n][0]
-    return Hive(tuple(tuple(top[n - i - j][i] - apex for i in range(n - j + 1))
-                      for j in range(n + 1)))
+    return Hive._trusted(tuple(tuple([top[n - i - j][i] - apex
+                                      for i in range(n - j + 1)])
+                               for j in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -242,10 +243,10 @@ def half_octahedron_diagnostics(h: Hive) -> CommutorDiagnostics:
                for y in range(n + 1) for z in range(n - y, n + 1)
                if layers[z][y][0] != snu[n - y] + shift]
 
-    report = check_pcpm(TetraFunction(
-        [[layers[z][y] if z <= n and n - z <= y <= n
-          else [0] * (2 * n - z - y + 1) for y in range(2 * n - z + 1)]
-         for z in range(2 * n + 1)]))
+    report = check_pcpm(TetraFunction._trusted(tuple(
+        tuple([tuple(layers[z][y]) if z <= n and n - z <= y <= n
+               else (0,) * (2 * n - z - y + 1) for y in range(2 * n - z + 1)])
+        for z in range(2 * n + 1))))
 
     def inside(points) -> bool:
         return all(z <= n and y <= n and y + z >= n for _, y, z in points)

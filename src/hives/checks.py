@@ -110,8 +110,10 @@ def bump(t: TetraFunction, point: TetraPoint, delta: int) -> TetraFunction:
     layers = [list(layer) for layer in t.layers]
     row = list(layers[z][y])
     row[x] += delta
-    layers[z][y] = row
-    return TetraFunction(layers)
+    layers[z][y] = tuple(row)
+    layers = tuple(map(tuple, layers))
+    return (TetraFunction._trusted(layers) if type(delta) is int
+            else TetraFunction(layers))
 
 
 # ---------------------------------------------------------------- suites

@@ -179,7 +179,8 @@ def enumerate_hives(mu: Partition, nu: Partition,
 
     def extend(k: int) -> None:
         if k == len(steps):
-            members.append(Hive(tuple(values[s] for s in row_slices)))
+            members.append(Hive._trusted(tuple([tuple(values[s])
+                                                for s in row_slices])))
             return
         p, lower, upper = steps[k]
         lo = max([values[a] + values[b] - values[c] for a, b, c in lower])

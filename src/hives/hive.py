@@ -7,6 +7,13 @@ boundary increments of a DC hive along the left edge, the hypotenuse and the
 base are then non-increasing tuples.  ``DC(mu, nu; lam)`` below always means
 the set of normalized DC hives with left increments mu, hypotenuse
 increments nu and base increments lam.
+
+Rows are checked once, where they enter the package: ``Hive(rows)``,
+:meth:`Hive.build` and :mod:`hives.jsonio` (so CLI input too) check row
+lengths and entry types.  Rows the package computed itself from checked
+hives (searches, propagations, sections, shifts) are wrapped unchecked by
+the private ``Hive._trusted``, which takes exact tuples of int tuples, so
+such a hive equals and hashes like a checked build of the same rows.
 """
 
 from __future__ import annotations
@@ -67,6 +74,14 @@ class Hive:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _triangle_rows(self.rows, "row {}"))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Hive":
+        """The hive of rows the package computed, taken unchecked: a tuple
+        of int tuples of lengths n + 1, n, ..., 1."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "rows", rows)
+        return h
+
     @property
     def n(self) -> int:
         return len(self.rows) - 1
@@ -85,7 +100,8 @@ class Hive:
         return cls.build(n, lambda i, j: 0)
 
     def shift(self, c: int) -> "Hive":
-        return Hive(tuple(tuple(v + c for v in row) for row in self.rows))
+        rows = tuple(tuple(v + c for v in row) for row in self.rows)
+        return Hive._trusted(rows) if type(c) is int else Hive(rows)
 
     def normalize(self) -> "Hive":
         """The translate vanishing at the origin."""
@@ -114,11 +130,16 @@ def validate_dc(h: Hive) -> list[UnitRhombus2D]:
     """All violated unit rhombi; an empty list means h is discretely concave.
 
     Listed in :func:`unit_rhombi_2d` order: anchors (i, j) by j, then i,
-    kinds I, II, III at each; the rows are scanned directly and a rhombus
+    kinds I, II, III at each."""
+    return _dc_violations(h.rows)
+
+
+def _dc_violations(rows) -> list[UnitRhombus2D]:
+    """The violated unit rhombi of the hive with these rows, in
+    :func:`validate_dc` order; the rows are scanned directly and a rhombus
     object is made only for a violation."""
-    rows = h.rows
     bad = []
-    for j in range(h.n - 1):
+    for j in range(len(rows) - 2):
         r0, r1, r2 = rows[j], rows[j + 1], rows[j + 2]
         for i in range(len(r2)):
             if r0[i + 1] + r1[i] < r0[i] + r1[i + 1]:

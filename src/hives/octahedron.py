@@ -34,13 +34,21 @@ A polarized function whose restriction to every cutting-plane section is
 discretely concave is called PCPM here; propagation from DC ground and
 ceiling always lands in this class, which is the engine behind both
 bijections in :mod:`hives.bijections`.  Each section is a hive of its face
-chart, so :func:`check_pcpm` checks it as one: :func:`extract_face`, then
-:func:`hives.hive.validate_dc`.  :func:`check_polarized` scans the rows for
-the rule.  A failure names its witness, an octahedron base or a section
-chart with its rhombus, in the words of :meth:`PcpmReport.witnesses`.
+chart, so :func:`check_pcpm` checks it as one with the row scan of
+:func:`hives.hive.validate_dc`.  The sections z = k and y = b are read
+straight from the layers (layer k, and row b of each layer); the x- and
+sum-sections are gathered by :func:`extract_face`.  :func:`check_polarized`
+scans the rows for the rule.  A failure names its witness, an octahedron
+base or a section chart with its rhombus, in the words of
+:meth:`PcpmReport.witnesses`.
 The commutor diagnostics run :func:`check_pcpm` on the half-octahedron
 rows zero-filled to the size-2n tetrahedron and keep the witnesses inside
 the half-octahedron.
+
+``TetraFunction(layers)`` checks its layers, as ``Hive(rows)`` checks its
+rows (see :mod:`hives.hive`); it is how library and JSON input come in.
+The functions and hives built here from checked ones (propagations,
+sections) are wrapped unchecked by the private ``_trusted`` constructors.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from typing import Sequence
 
 from .grids import (FaceChart, TetraPoint, UnitOctahedron, UnitRhombus2D,
                     cutting_sections)
-from .hive import Hive, _triangle_rows, validate_dc
+from .hive import Hive, _dc_violations, _triangle_rows
 
 Rows = Sequence[Sequence[int]]
 
@@ -72,6 +80,16 @@ class TetraFunction:
                                  f"expected {n - z + 1}")
             checked.append(_triangle_rows(layer, f"row y={{}} of layer z={z}"))
         object.__setattr__(self, "layers", tuple(checked))
+
+    @classmethod
+    def _trusted(cls, layers: tuple[tuple[tuple[int, ...], ...], ...]
+                 ) -> "TetraFunction":
+        """The function of layers the package computed, taken unchecked:
+        layer z a tuple of n - z + 1 int tuples of lengths n - z + 1, ...,
+        1."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "layers", layers)
+        return t
 
     @property
     def n(self) -> int:
@@ -95,9 +113,9 @@ def extract_face(t: TetraFunction, chart: FaceChart) -> Hive:
     rows = []
     for j in range(size + 1):  # row j starts at origin + j * e2
         x, y, z = ox + j * bx, oy + j * by, oz + j * bz
-        rows.append([layers[z + i * az][y + i * ay][x + i * ax]
-                     for i in range(size - j + 1)])
-    return Hive(rows)
+        rows.append(tuple([layers[z + i * az][y + i * ay][x + i * ax]
+                           for i in range(size - j + 1)]))
+    return Hive._trusted(tuple(rows))
 
 
 def _solve_row_forward(last: int, below: Sequence[int],
@@ -164,7 +182,9 @@ def propagate(ground: Hive, ceiling: Hive) -> TetraFunction:
                 "ground hypotenuse and ceiling base disagree: "
                 f"ground({i},{n - i}) = {ground[i, n - i]} but "
                 f"ceiling({i},0) + {c} = {ceiling[i, 0] + c}")
-    return TetraFunction(_propagate_rows(ground.rows, ceiling.rows, c))
+    return TetraFunction._trusted(tuple(
+        tuple(map(tuple, layer))
+        for layer in _propagate_rows(ground.rows, ceiling.rows, c)))
 
 
 def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
@@ -187,8 +207,9 @@ def inverse_propagate(wall_x0: Hive, wall_y0: Hive) -> TetraFunction:
                 f"{wall_x0[k, 0]} vs {wall_y0[0, k]}")
     swapped = _propagate_rows([r[::-1] for r in wall_y0.rows],
                               [r[::-1] for r in wall_x0.rows], 0)
-    return TetraFunction([[swapped[y][z][::-1] for y in range(n - z + 1)]
-                          for z in range(n + 1)])
+    return TetraFunction._trusted(tuple(
+        tuple([tuple(swapped[y][z][::-1]) for y in range(n - z + 1)])
+        for z in range(n + 1)))
 
 
 def check_polarized(t: TetraFunction) -> list[UnitOctahedron]:
@@ -238,12 +259,25 @@ class PcpmReport:
         return lines + [_section_witness(*item) for item in first.items()]
 
 
+def _section_rows(t: TetraFunction, chart: FaceChart) -> Rows:
+    """The rows of ``extract_face(t, chart)``.  A section z = k is layer k
+    and a section y = b is row b of each layer, both read verbatim; any
+    other chart is gathered by :func:`extract_face`."""
+    layers, (ox, oy, oz) = t.layers, chart.origin
+    if chart.e1 == (1, 0, 0) and not ox and chart.size == t.n - oy - oz:
+        if chart.e2 == (0, 1, 0) and not oy:
+            return layers[oz]
+        if chart.e2 == (0, 0, 1) and not oz:
+            return [layer[oy] for layer in layers[:chart.size + 1]]
+    return extract_face(t, chart).rows
+
+
 def check_pcpm(t: TetraFunction) -> PcpmReport:
     """Check polarization, and discrete concavity of every cutting-plane
     section (all four families) as a hive of its chart.  Rhombus violations
-    come in :func:`cutting_sections` order, then :func:`validate_dc` order
-    within a section."""
+    come in :func:`cutting_sections` order, then
+    :func:`hives.hive.validate_dc` order within a section."""
     return PcpmReport(tuple(check_polarized(t)),
                       tuple((chart, rh)
                             for chart in cutting_sections(t.n)
-                            for rh in validate_dc(extract_face(t, chart))))
+                            for rh in _dc_violations(_section_rows(t, chart))))

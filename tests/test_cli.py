@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -474,3 +477,16 @@ def test_unwritable_or_unreadable_file_exits_2_naming_it(case, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def test_python_m_hives_runs_the_command_line():
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "hives", "selfcheck", "--max-n", "2",
+         "--max-part", "1", "--random-cases", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("selfcheck: PASS\n")

@@ -3,14 +3,17 @@ import re
 
 import pytest
 
+from hives import bijections, octahedron
+from hives.bijections import commutor, half_octahedron_diagnostics
 from hives.checks import (SELFCHECK_SEED, bump, glued_universe,
                           interior_points, random_glued_pairs)
 from hives.enumeration import enumerate_glued_pairs, enumerate_hives
 from hives.grids import (FaceChart, cutting_sections, tetra_points,
                          unit_octahedra, unit_rhombi_2d)
 from hives.hive import Hive, boundary, p_mu, pad
-from hives.octahedron import (TetraFunction, check_pcpm, check_polarized,
-                              extract_face, inverse_propagate, propagate)
+from hives.octahedron import (TetraFunction, _section_rows, check_pcpm,
+                              check_polarized, extract_face, inverse_propagate,
+                              propagate)
 from hives.tableaux import partitions_in_box
 
 GROUND = Hive(((0, 2, 2), (1, 2), (1,)))
@@ -285,3 +288,75 @@ def test_pcpm2_property():
 def test_integrality_is_structural():
     t = worked_tetra()
     assert all(isinstance(t[p], int) for p in tetra_points(t.n))
+
+
+def assert_checked_build(x) -> None:
+    """x, which the package built unchecked, equals and hashes like the
+    checked build of its rows, and holds them as exact tuples."""
+    if isinstance(x, Hive):
+        checked, layers = Hive(x.rows), (x.rows,)
+    else:
+        checked, layers = TetraFunction(x.layers), x.layers
+        assert type(layers) is tuple
+    assert checked == x and hash(checked) == hash(x)
+    assert all(type(layer) is tuple and all(type(row) is tuple
+                                            for row in layer)
+               for layer in layers)
+
+
+def test_trusted_builds_equal_checked_builds(monkeypatch):
+    """Every hive and function the package builds unchecked equals its
+    checked build: seeded propagations at n = 2..6 with their bumps,
+    walls, faces, wall reconstructions, shifts and commutor images, the
+    zero-filled function of the commutor diagnostics, and the members of
+    DC((6,5,4,3,2,1), (6,5,4,3,2,1); (9,8,7,6,5,4,2,1))."""
+    diagnosed = []
+    real_check_pcpm = bijections.check_pcpm
+    monkeypatch.setattr(bijections, "check_pcpm",
+                        lambda t: diagnosed.append(t) or real_check_pcpm(t))
+    rng = random.Random(20241019)
+    built = []
+    for k in range(40):
+        n = 2 + k % 5
+        t = random_pcpm_function(rng, n)
+        w1 = extract_face(t, FaceChart.section_x(n, 0))
+        w2 = extract_face(t, FaceChart.section_y(n, 0))
+        ceiling = extract_face(t, FaceChart.ceiling(n))
+        built += [t, bump(t, rng.choice(tetra_points(n)), rng.choice((-1, 2))),
+                  w1, w2, inverse_propagate(w1, w2), ceiling,
+                  ceiling.normalize(), ceiling.shift(-3)]
+        built += [extract_face(t, chart) for chart in cutting_sections(n)]
+        ground = extract_face(t, FaceChart.section_z(n, 0))
+        built.append(commutor(ground))
+        assert half_octahedron_diagnostics(ground).ok()
+    members = enumerate_hives((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1),
+                              (9, 8, 7, 6, 5, 4, 2, 1))
+    assert len(members) == 1624 and len(diagnosed) == 40
+    for x in built + diagnosed + list(members):
+        assert_checked_build(x)
+
+
+def test_shift_and_bump_check_a_non_integer_offset():
+    with _raises_exactly("row 0 holds 0.5, not an int"):
+        GROUND.shift(0.5)
+    with _raises_exactly("row y=0 of layer z=0 holds 0.5, not an int"):
+        bump(worked_tetra(), (0, 0, 0), 0.5)
+
+
+def test_sections_read_from_the_layers_are_the_extracted_faces(monkeypatch):
+    """The z- and y-sections are read straight from the layers, equal to
+    their extracted faces, and check_pcpm gathers only the x- and
+    sum-sections, n = 2..7."""
+    gathered = []
+    real_extract_face = octahedron.extract_face
+    monkeypatch.setattr(octahedron, "extract_face", lambda t, chart: (
+        gathered.append(chart) or real_extract_face(t, chart)))
+    for n in range(2, 8):
+        t = tetra(n, lambda x, y, z: x + 10 * y + 100 * z)
+        for chart in cutting_sections(n):
+            face = real_extract_face(t, chart)
+            assert tuple(_section_rows(t, chart)) == face.rows, chart.name
+        gathered.clear()
+        check_pcpm(t)
+        assert gathered == [chart for chart in cutting_sections(n)
+                            if chart.name.startswith(("x=", "x+y+z="))]
