@@ -7,7 +7,9 @@ names its witnesses: verify each violated rhombus, commute --check and
 propagate --check-pcpm on stderr.  All outputs are deterministic, and
 all JSON output, on stdout or in an -o file, is the canonical form of
 jsonio.dumps.  --format json (lr, schur, verify) prints JSON instead of a
-table.  A file that cannot be read or written exits 2 naming its path.
+table.  A file that cannot be read or written exits 2 naming its path;
+so does JSON nested too deeply to parse, and an integer past CPython's
+str/int digit limit exits 2 naming its file or option and the limit.
 --max-count (enumerate, pairs) counts the result first and exits 2 if it
 is larger, so a runaway listing is refused before it is built.
 selfcheck runs the suites of hives.checks; --max-n >= 2, --max-part >= 0
@@ -38,11 +40,28 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
+def _part(text: str) -> int:
+    """int(text); a well-formed part past CPython's str/int digit limit
+    gets an error that names the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().replace("_", "")
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if len(digits) > limit > 0 and digits.isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"a part has {len(digits)} digits, more than {limit}, "
+                f"CPython's limit for converting str to int") from None
+        raise
+
+
 def parse_partition(text: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = tuple(map(_part, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer "
                                          f"list: {text!r}")
@@ -67,9 +86,13 @@ def int_at_least(low: int):
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return loads(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    try:
+        return loads(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

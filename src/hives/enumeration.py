@@ -230,7 +230,12 @@ def count_hives(mu: Partition, nu: Partition, lam: Partition) -> int:
             total += found
         return total
 
-    return fill(0)
+    # fill refers to itself, so the closure is a reference cycle that keeps
+    # the memo alive until the cyclic collector runs; empty it on return.
+    try:
+        return fill(0)
+    finally:
+        memo.clear()
 
 
 def brute_force_count(mu: Partition, nu: Partition, lam: Partition,

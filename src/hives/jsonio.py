@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .bijections import GluedPair, WallPair
@@ -83,3 +84,11 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"JSON nested deeper than the parser can follow "
+                          f"(recursion limit {sys.getrecursionlimit()})"
+                          ) from None
+    except ValueError as exc:  # only an integer past CPython's digit limit
+        raise SchemaError(f"an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits, CPython's "
+                          f"limit for converting str to int") from exc

@@ -23,7 +23,14 @@ Each a[r][k] is at most
 So the rows below r depend only on r, on where the letter prefixes of row
 r - 1 end, and on the content used so far.  One depth-first pass memoizes
 on that state, in a dict local to the call, and returns {lam suffix:
-count}.  This is the LR-tableau picture of Pak and Vallejo,
+count}.
+
+A column argument rules out a state that has no completion before its
+row is built: below mu's last row, the skew cells of a column hold
+strictly increasing letters that start at 1, so row len(mu) + j holds no
+letter <= j, and letter k sits in rows < len(mu) + k.  Every such dead
+state shares one empty result, ``_DEAD``, which callers must never
+mutate.  This is the LR-tableau picture of Pak and Vallejo,
 "Combinatorics and geometry of Littlewood-Richardson cones"; A. Buch's
 lrcalc expands products the same way.
 
@@ -124,13 +131,28 @@ def partitions_in_box(total: int, max_parts: int, max_part: int) -> list[Partiti
     return out
 
 
+_DEAD: dict[tuple[int, ...], int] = {}  # shared by every dead state; read-only
+
+
+def _dead(r: int, used: tuple[int, ...], nu: Partition, depth: int) -> bool:
+    """True when rows r, r+1, ... cannot take the letters left: letter k + 1
+    sits in rows <= depth + k, where depth is the number of rows of the
+    inner shape, and the first letter with copies left bounds them all."""
+    for k in range(len(nu)):
+        if used[k] < nu[k]:
+            return r > depth + k
+    return False
+
+
 def _lr_rows(r: int, ends: tuple[int, ...], used: tuple[int, ...],
-             nu: Partition, shape: Partition,
+             nu: Partition, shape: Partition, depth: int,
              memo: dict) -> dict[tuple[int, ...], int]:
     """{(lam_r, ..., lam_{n-1}): count} over the LR fillings of rows r, r+1,
     ... of lam/shape with content nu, where ends[k] is where letters <= k
     end in row r - 1 and used[k] counts the letters k + 1 in rows above r.
-    The row ends and content after row r are the state for row r + 1.
+    The row ends and content after row r are the state for row r + 1.  A
+    state with no filling, past the last row or ruled out by ``_dead``,
+    gets the shared ``_DEAD``.
 
     This is a module function, not a closure: a recursive closure is a
     reference cycle, which keeps each call's memo alive until the cyclic
@@ -139,10 +161,12 @@ def _lr_rows(r: int, ends: tuple[int, ...], used: tuple[int, ...],
     out = memo.get(key)
     if out is not None:
         return out
-    out = {}
     if used == nu:
-        out[shape[r:]] = 1
-    elif r < len(shape):
+        out = {shape[r:]: 1}
+    elif r == len(shape) or _dead(r, used, nu, depth):
+        out = _DEAD
+    else:
+        out = {}
         letters = len(nu)
         # Row r, letter by letter: (end so far, ends of the letter prefixes,
         # content used).  The lattice rule keeps letters > r + 1 out of it.
@@ -160,7 +184,7 @@ def _lr_rows(r: int, ends: tuple[int, ...], used: tuple[int, ...],
             partial = grown
         for col, row_ends, now in partial:
             for suffix, c in _lr_rows(r + 1, row_ends[:letters], now, nu,
-                                      shape, memo).items():
+                                      shape, depth, memo).items():
                 lam = (col,) + suffix
                 out[lam] = out.get(lam, 0) + c
     memo[key] = out
@@ -183,5 +207,5 @@ def schur_product(mu: Partition, nu: Partition, n: int) -> dict[Partition, int]:
     if (len(nu), sum(nu)) > (len(mu), sum(mu)):
         mu, nu = nu, mu
     found = _lr_rows(0, (sum(mu) + sum(nu),), (0,) * len(nu), nu,
-                     mu + (0,) * (n - len(mu)), {})
+                     mu + (0,) * (n - len(mu)), len(mu), {})
     return {_trim(lam): found[lam] for lam in sorted(found, reverse=True)}

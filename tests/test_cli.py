@@ -479,6 +479,51 @@ def test_unwritable_or_unreadable_file_exits_2_naming_it(case, tmp_path,
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "commute"])
+def test_deeply_nested_json_exits_2_naming_the_file(command, tmp_path,
+                                                     capsys):
+    path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == (f"input error: {path}: JSON nested deeper than "
+                            f"the parser can follow (recursion limit "
+                            f"{sys.getrecursionlimit()})\n")
+
+
+def _digit_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int/str digit limit")
+    return limit
+
+
+def test_hive_value_past_the_digit_limit_exits_2_naming_the_file(tmp_path,
+                                                                capsys):
+    limit = _digit_limit()
+    path = write(tmp_path, "big.json",
+                 '{"n":0,"values":[[%s]]}' % ("7" * (limit + 700)))
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == (f"input error: {path}: an integer has more than "
+                            f"{limit} digits, CPython's limit for converting "
+                            f"str to int\n")
+
+
+def test_partition_part_past_the_digit_limit_names_the_limit(capsys):
+    limit = _digit_limit()
+    with pytest.raises(SystemExit) as exc:
+        main(["lr", "--mu", "9" * (limit + 700), "--nu", "1",
+              "--lambda", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"hives lr: error: argument --mu: a part has {limit + 700} digits, "
+        f"more than {limit}, CPython's limit for converting str to int")
+
+
 def test_python_m_hives_runs_the_command_line():
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -36,8 +36,9 @@ def workloads():
     return _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
+# 15 schur-expand inputs are one cycle of its part-count classes, up to 5x5.
 @pytest.mark.parametrize("workload, count", [
-    ("lr-count", 300), ("schur-expand", 10), ("octahedron-maps", 13)])
+    ("lr-count", 300), ("schur-expand", 15), ("octahedron-maps", 13)])
 def test_workload_checks_pass(workloads, workload, count):
     """The first inputs of seed 1, each run by the workload's operation and
     passed by its check."""

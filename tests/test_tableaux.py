@@ -1,5 +1,6 @@
 
 import ast
+import random
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hives.tableaux
-from hives.tableaux import (_lr_fillings, _trim, lr_coefficient,
+from hives.tableaux import (_dead, _lr_fillings, _trim, lr_coefficient,
                             partitions_in_box, schur_product)
 
 partitions = st.lists(st.integers(0, 4), max_size=3).map(
@@ -285,6 +286,66 @@ def test_schur_product_staircase_square_in_eight_parts():
     # truncated to 8 parts, the product holds in 8 variables: evaluate at 1^8
     lhs = sum(c * gl_dimension(lam, 8) for lam, c in exp.items())
     assert lhs == gl_dimension(mu, 8) * gl_dimension(nu, 8)
+
+
+def unpruned_rows(r, ends, used, nu, shape, memo):
+    """The row recursion of schur_product before dead states were ruled
+    out, kept as the reference; memo maps each state (r, ends, used) it
+    reaches to {lam suffix: count}."""
+    key = (r, ends, used)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if used == nu:
+        out[shape[r:]] = 1
+    elif r < len(shape):
+        letters = len(nu)
+        partial = [(shape[r], (shape[r],), used)]
+        for k in range(min(letters, r + 1)):
+            room = nu[k] - used[k]
+            if k:
+                room = min(room, used[k - 1] - used[k])
+            grown = []
+            for col, row_ends, now in partial:
+                for a in range(min(room, ends[k] - col) + 1):
+                    grown.append((col + a, row_ends + (col + a,),
+                                  now[:k] + (used[k] + a,) + now[k + 1:]))
+            partial = grown
+        for col, row_ends, now in partial:
+            for suffix, c in unpruned_rows(r + 1, row_ends[:letters], now,
+                                           nu, shape, memo).items():
+                lam = (col,) + suffix
+                out[lam] = out.get(lam, 0) + c
+    memo[key] = out
+    return out
+
+
+def test_dead_state_rule_never_rejects_a_filling():
+    """Every state that the unpruned recursion reaches, with either factor
+    as the content, at the full and at a truncated number of parts: _dead
+    rejects none that has a filling, and rejects many that have none."""
+    rng = random.Random(2021)
+    rejected = 0
+    for _ in range(20):
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        mu = tuple(sorted((rng.randint(1, 6) for _ in range(a)), reverse=True))
+        nu = tuple(sorted((rng.randint(1, 6) for _ in range(b)), reverse=True))
+        for n in (a + b, rng.randint(max(a, b), a + b - 1)):
+            for shape, content in ((mu, nu), (nu, mu)):
+                memo = {}
+                found = unpruned_rows(0, (sum(mu) + sum(nu),),
+                                      (0,) * len(content), content,
+                                      shape + (0,) * (n - len(shape)), memo)
+                got = {_trim(lam): c for lam, c in found.items()}
+                assert got == schur_product(mu, nu, n), (mu, nu, n)
+                for (r, ends, used), out in memo.items():
+                    if used == content or r == n:
+                        continue
+                    dead = _dead(r, used, content, len(shape))
+                    assert not (dead and out), (shape, content, n, r, used)
+                    rejected += dead
+    assert rejected > 20000
 
 
 def test_oracle_imports_no_hive_code():
